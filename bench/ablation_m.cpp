@@ -35,8 +35,9 @@ void sweep(const char* isa, const Config& cfg) {
       if (m > nx / W || nx % (W * m) != 0) continue;
       tsv::Grid1D<double> g(nx, 1);
       g.fill([](tsv::index x) { return 0.25 + 1e-4 * static_cast<double>(x % 101); });
+      tsv::Workspace ws;
       tsv::Timer t;
-      tsv::blocked_m_run<V, 1>(g, s, steps, m);
+      tsv::blocked_m_run<V, 1>(g, s, steps, m, ws);
       const double gf = 1e-9 * static_cast<double>(nx) *
                         static_cast<double>(steps) *
                         static_cast<double>(s.flops_per_point) / t.seconds();

@@ -18,8 +18,9 @@ double run_k(tsv::index nx, tsv::index steps) {
   const auto s = tsv::make_1d3p(1.0 / 3.0);
   tsv::Grid1D<double> g(nx, 1);
   g.fill([](tsv::index x) { return 0.25 + 1e-4 * static_cast<double>(x % 101); });
+  tsv::Workspace ws;
   tsv::Timer t;
-  tsv::unroll_jam_run<V, 1, K>(g, s, steps);
+  tsv::unroll_jam_run<V, K>(g, s, steps, ws);
   return 1e-9 * static_cast<double>(nx) * static_cast<double>(steps) *
          static_cast<double>(s.flops_per_point) / t.seconds();
 }

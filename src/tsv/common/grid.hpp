@@ -13,8 +13,10 @@
 // writing these same cells via core/halo.hpp — the kernels are identical.
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <functional>
+#include <tuple>
 
 #include "tsv/common/aligned.hpp"
 #include "tsv/common/check.hpp"
@@ -232,6 +234,70 @@ class Grid3D {
   index nx_, ny_, nz_, halo_, lead_, stride_, plane_;
   AlignedBuffer<T> buf_;
 };
+
+// ---------------------------------------------------------------------------
+// Rank-generic geometry: what lets one driver serve every grid rank.
+// ---------------------------------------------------------------------------
+
+/// The grid type of rank D (1..3) over T.
+template <int D, typename T>
+using GridOf =
+    std::tuple_element_t<D - 1, std::tuple<Grid1D<T>, Grid2D<T>, Grid3D<T>>>;
+
+/// Half-open per-axis region [lo[d], hi[d]) of a rank-D grid; axis 0 is x.
+template <int D>
+struct Box {
+  std::array<index, D> lo{}, hi{};
+};
+
+/// @p b widened to three axes; the axes it lacks become [0, 1).
+template <int D>
+Box<3> as_box3(const Box<D>& b) {
+  Box<3> r{{0, 0, 0}, {1, 1, 1}};
+  std::copy_n(b.lo.begin(), D, r.lo.begin());
+  std::copy_n(b.hi.begin(), D, r.hi.begin());
+  return r;
+}
+
+/// Interior extents of @p g, x first.
+template <typename G>
+std::array<index, G::kRank> extents_of(const G& g) {
+  if constexpr (G::kRank == 1)
+    return {g.nx()};
+  else if constexpr (G::kRank == 2)
+    return {g.nx(), g.ny()};
+  else
+    return {g.nx(), g.ny(), g.nz()};
+}
+
+/// The whole interior of @p g as a box.
+template <typename G>
+Box<G::kRank> interior_box(const G& g) {
+  return {{}, extents_of(g)};
+}
+
+/// Pointer to x = 0 of row (y, z); coordinates beyond the rank are ignored.
+template <typename G>
+auto* grid_row(G& g, index y, index z) {
+  if constexpr (G::kRank == 1)
+    return g.x0();
+  else if constexpr (G::kRank == 2)
+    return g.row(y);
+  else
+    return g.row(y, z);
+}
+
+/// A grid of type @p G with interior extents @p n.
+template <typename G>
+G make_grid(const std::array<index, G::kRank>& n, index halo,
+            FirstTouch ft = FirstTouch::kSerial) {
+  if constexpr (G::kRank == 1)
+    return G(n[0], halo, ft);
+  else if constexpr (G::kRank == 2)
+    return G(n[0], n[1], halo, ft);
+  else
+    return G(n[0], n[1], n[2], halo, ft);
+}
 
 /// Largest |a-b| over the interior of two grids (used by the test suite).
 template <typename T>

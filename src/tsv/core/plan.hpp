@@ -140,60 +140,26 @@ namespace detail {
 int runtime_default_threads();
 
 template <typename G>
-inline constexpr int grid_rank = 0;
-template <typename T>
-inline constexpr int grid_rank<Grid1D<T>> = 1;
-template <typename T>
-inline constexpr int grid_rank<Grid2D<T>> = 2;
-template <typename T>
-inline constexpr int grid_rank<Grid3D<T>> = 3;
+inline constexpr int grid_rank = G::kRank;
 
-template <int Dim, typename T>
-struct grid_for;
-template <typename T>
-struct grid_for<1, T> {
-  using type = Grid1D<T>;
-};
-template <typename T>
-struct grid_for<2, T> {
-  using type = Grid2D<T>;
-};
-template <typename T>
-struct grid_for<3, T> {
-  using type = Grid3D<T>;
-};
 template <typename S>
-using grid_for_t = typename grid_for<S::dim, typename S::value_type>::type;
+using grid_for_t = GridOf<S::dim, typename S::value_type>;
 
 template <typename G>
-struct grid_value;
-template <typename T>
-struct grid_value<Grid1D<T>> {
-  using type = T;
-};
-template <typename T>
-struct grid_value<Grid2D<T>> {
-  using type = T;
-};
-template <typename T>
-struct grid_value<Grid3D<T>> {
-  using type = T;
-};
-template <typename G>
-using grid_value_t = typename grid_value<G>::type;
+using grid_value_t = typename G::value_type;
 
 template <typename G, typename S>
 using ExecFn = void (*)(G&, const S&, const ResolvedOptions&, Workspace&);
 
-/// The kernel adapters: each (method, tiling) combination defined ONCE,
-/// generically over grid rank. `if constexpr` forwards the rank-appropriate
-/// block arguments; combinations the registry does not claim for a rank are
-/// never registered, so their discarded branches never run. Every adapter
-/// passes the plan's Workspace down so steady-state executes never allocate;
-/// the vector write-back drivers also receive the resolved streaming flag.
+/// The kernel adapters: each (method, tiling) combination defined ONCE. The
+/// drivers are themselves rank-generic, so every adapter is a plain
+/// forward; combinations the registry does not claim for a rank are never
+/// registered. Every adapter passes the plan's Workspace down so
+/// steady-state executes never allocate; the vector write-back drivers also
+/// receive the resolved streaming flag.
 template <typename V, typename G, typename S>
 struct Exec {
-  static constexpr int rank = grid_rank<G>;
+  static Blocks blocks(const ResolvedOptions& r) { return {r.bx, r.by, r.bz}; }
 
   // -- untiled --------------------------------------------------------------
   static void scalar(G& g, const S& s, const ResolvedOptions& r,
@@ -222,49 +188,29 @@ struct Exec {
   }
   static void transpose_uj(G& g, const S& s, const ResolvedOptions& r,
                            Workspace& ws) {
-    if constexpr (rank == 1)
-      unroll_jam_run<V, S::radius, 2>(g, s, r.steps, ws);
-    else
-      unroll_jam2_run<V>(g, s, r.steps, ws);
+    unroll_jam_run<V>(g, s, r.steps, ws);
   }
 
   // -- tessellate tiling ----------------------------------------------------
   static void tess_autovec(G& g, const S& s, const ResolvedOptions& r,
                            Workspace& ws) {
-    if constexpr (rank == 1)
-      tess_autovec_run(g, s, r.steps, r.bx, r.bt, ws);
-    else if constexpr (rank == 2)
-      tess_autovec_run(g, s, r.steps, r.bx, r.by, r.bt, ws);
-    else
-      tess_autovec_run(g, s, r.steps, r.bx, r.by, r.bz, r.bt, ws);
+    tess_autovec_run(g, s, r.steps, blocks(r), r.bt, ws);
   }
   static void tess_multiload(G& g, const S& s, const ResolvedOptions& r,
                              Workspace& ws) {
-    if constexpr (rank == 1)
-      tess_multiload_run<V>(g, s, r.steps, r.bx, r.bt, ws);
+    tess_multiload_run<V>(g, s, r.steps, blocks(r), r.bt, ws);
   }
   static void tess_reorg(G& g, const S& s, const ResolvedOptions& r,
                          Workspace& ws) {
-    if constexpr (rank == 1) tess_reorg_run<V>(g, s, r.steps, r.bx, r.bt, ws);
+    tess_reorg_run<V>(g, s, r.steps, blocks(r), r.bt, ws);
   }
   static void tess_transpose(G& g, const S& s, const ResolvedOptions& r,
                              Workspace& ws) {
-    if constexpr (rank == 1)
-      tess_transpose_run<V>(g, s, r.steps, r.bx, r.bt, ws, r.streaming);
-    else if constexpr (rank == 2)
-      tess_transpose_run<V>(g, s, r.steps, r.bx, r.by, r.bt, ws, r.streaming);
-    else
-      tess_transpose_run<V>(g, s, r.steps, r.bx, r.by, r.bz, r.bt, ws,
-                            r.streaming);
+    tess_transpose_run<V>(g, s, r.steps, blocks(r), r.bt, ws, r.streaming);
   }
   static void tess_transpose_uj(G& g, const S& s, const ResolvedOptions& r,
                                 Workspace& ws) {
-    if constexpr (rank == 1)
-      tess_transpose_uj2_run<V>(g, s, r.steps, r.bx, r.bt, ws);
-    else if constexpr (rank == 2)
-      tess_transpose_uj2_run<V>(g, s, r.steps, r.bx, r.by, r.bt, ws);
-    else
-      tess_transpose_uj2_run<V>(g, s, r.steps, r.bx, r.by, r.bz, r.bt, ws);
+    tess_transpose_uj2_run<V>(g, s, r.steps, blocks(r), r.bt, ws);
   }
 
   // -- split tiling (uniform signature: the split axis is resolved) ---------
@@ -280,12 +226,7 @@ struct Exec {
   }
   static void tess_generic(G& g, const S& s, const ResolvedOptions& r,
                            Workspace& ws) {
-    if constexpr (rank == 1)
-      tess_generic_run<V>(g, s, r.steps, r.bx, r.bt, ws);
-    else if constexpr (rank == 2)
-      tess_generic_run<V>(g, s, r.steps, r.bx, r.by, r.bt, ws);
-    else
-      tess_generic_run<V>(g, s, r.steps, r.bx, r.by, r.bz, r.bt, ws);
+    tess_generic_run<V>(g, s, r.steps, blocks(r), r.bt, ws);
   }
 };
 
@@ -324,9 +265,8 @@ ExecFn<G, S> exec_for(Method m, Tiling t) {
       case Tiling::kTessellate:
         switch (m) {
           case Method::kAutoVec: return &E::tess_autovec;
-          case Method::kMultiLoad:
-            return E::rank == 1 ? &E::tess_multiload : nullptr;
-          case Method::kReorg: return E::rank == 1 ? &E::tess_reorg : nullptr;
+          case Method::kMultiLoad: return &E::tess_multiload;
+          case Method::kReorg: return &E::tess_reorg;
           case Method::kTranspose: return &E::tess_transpose;
           case Method::kTransposeUJ: return &E::tess_transpose_uj;
           case Method::kGeneric: return &E::tess_generic;

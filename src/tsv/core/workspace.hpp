@@ -22,6 +22,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <tuple>
 #include <typeindex>
 #include <typeinfo>
 #include <utility>
@@ -178,27 +179,14 @@ class WorkspacePool {
 // they need (typically copy_halo_from) each execute.
 // ---------------------------------------------------------------------------
 
-template <typename T>
-Grid1D<T>& ws_grid_like(Workspace& ws, int slot, const Grid1D<T>& g) {
-  return ws.slot<Grid1D<T>>(slot, ws_key(g.nx(), g.halo()), [&] {
-    return Grid1D<T>(g.nx(), g.halo(), FirstTouch::kParallel);
+template <typename G>
+G& ws_grid_like(Workspace& ws, int slot, const G& g) {
+  const auto n = extents_of(g);
+  const std::uint64_t key =
+      std::apply([&](auto... e) { return ws_key(e..., g.halo()); }, n);
+  return ws.slot<G>(slot, key, [&] {
+    return make_grid<G>(n, g.halo(), FirstTouch::kParallel);
   });
-}
-
-template <typename T>
-Grid2D<T>& ws_grid_like(Workspace& ws, int slot, const Grid2D<T>& g) {
-  return ws.slot<Grid2D<T>>(slot, ws_key(g.nx(), g.ny(), g.halo()), [&] {
-    return Grid2D<T>(g.nx(), g.ny(), g.halo(), FirstTouch::kParallel);
-  });
-}
-
-template <typename T>
-Grid3D<T>& ws_grid_like(Workspace& ws, int slot, const Grid3D<T>& g) {
-  return ws.slot<Grid3D<T>>(slot, ws_key(g.nx(), g.ny(), g.nz(), g.halo()),
-                            [&] {
-                              return Grid3D<T>(g.nx(), g.ny(), g.nz(),
-                                               g.halo(), FirstTouch::kParallel);
-                            });
 }
 
 // ---------------------------------------------------------------------------

@@ -1,13 +1,14 @@
 #pragma once
-// Tessellate tiling engines (paper §3.4; Yuan SC'17).
+// Tessellate tiling engine (paper §3.4; Yuan SC'17).
 //
 // Space-time is covered by triangles (stage 0) and inverted triangles
-// (stage 1) per dimension; multidimensional domains use the tensor product
-// of the per-dimension shapes, with one stage per subset of dimensions using
-// the inverted profile, processed in subset order (DESIGN.md §6.3). All
-// tiles within a stage are independent and run under `omp parallel for`.
+// (stage 1) per axis; a D-dimensional domain uses the tensor product of the
+// per-axis shapes, with one stage per subset of axes using the inverted
+// profile, processed in subset order (docs/METHODS.md, "Tessellate stage
+// order"). All tiles within a stage are independent and run under `omp
+// parallel for`.
 //
-// The engines are generic over the *advance* callback, which moves a region
+// The engine is generic over the *advance* callback, which moves a region
 // forward one time unit between the two Jacobi parity buffers. A unit is one
 // time step for ordinary methods (slope = r) or one two-step pair for the
 // unroll-and-jam scheme (slope = 2r) — the engine is agnostic.
@@ -18,12 +19,18 @@
 
 #include <omp.h>
 
+#include <array>
 #include <utility>
 
 #include "tsv/common/check.hpp"
 #include "tsv/common/grid.hpp"
+#include "tsv/core/workspace.hpp"
 
 namespace tsv {
+
+/// Tessellation tile extents per axis (x, y, z); a rank-D driver reads the
+/// first D and ignores the rest.
+using Blocks = std::array<index, 3>;
 
 /// Half-open range of a (possibly boundary-extended) triangle tile at unit u.
 inline std::pair<index, index> tri_range(index c, index ntiles, index n,
@@ -43,7 +50,7 @@ inline std::pair<index, index> inv_range(index m, index n, index slope,
 
 inline index tile_count(index n, index blk) { return (n + blk - 1) / blk; }
 
-/// Validates a tiling configuration for one dimension.
+/// Validates a tiling configuration for one axis.
 inline void check_tile_dim(index n, index blk, index slope, index tau,
                            const char* dim) {
   require_fmt(blk > 0 && tau > 0, "tess: block and time range must be > 0 (",
@@ -54,68 +61,33 @@ inline void check_tile_dim(index n, index blk, index slope, index tau,
                 " (shrinking triangles must not invert)");
 }
 
-// ---------------------------------------------------------------------------
-// 1D engine. Also drives SDSL's split tiling (domain = DLT columns) and the
-// outer-dimension-only hybrid tilings, since the domain length is explicit.
-// ---------------------------------------------------------------------------
-
-/// Advances @p units time units; A holds even-parity units, B odd. The
-/// result is guaranteed to end in A. adv(in, out, lo, hi) advances one unit.
-template <typename GridT, typename AdvanceFn>
-void tess1d_engine(GridT& A, GridT& B, index domain, index units, index tau,
-                   index slope, index blk, AdvanceFn&& adv) {
-  check_tile_dim(domain, blk, slope, tau, "x");
-  const index ntiles = tile_count(domain, blk);
-  index parity = 0;
-  auto in_buf = [&](index u) -> const GridT& {
-    return ((parity + u) % 2 == 0) ? A : B;
-  };
-  auto out_buf = [&](index u) -> GridT& {
-    return ((parity + u + 1) % 2 == 0) ? A : B;
-  };
-
-  index done = 0;
-  while (done < units) {
-    const index t = std::min(tau, units - done);
-    // Static schedule on purpose: the legality bound (blk >= 2*slope*tau)
-    // makes every interior tile's work identical at each unit, and the
-    // boundary trapezoids differ by at most slope*tau cells — so there is
-    // nothing for a dynamic scheduler to balance. Static dispatch drops the
-    // per-tile queue traffic and keeps the tile->thread mapping stable
-    // across time blocks, which is what the workspace first-touch relies
-    // on for NUMA locality. (fig8/fig9 smoke showed parity-or-better on
-    // this box; the ragged-tile split engine in tiling/tiled.hpp is the
-    // one place dynamic stays.)
-#pragma omp parallel for schedule(static)
-    for (index c = 0; c < ntiles; ++c)
-      for (index u = 0; u < t; ++u) {
-        const auto [a, b] = tri_range(c, ntiles, domain, blk, slope, u);
-        if (a < b) adv(in_buf(u), out_buf(u), a, b);
-      }
-#pragma omp parallel for schedule(static)
-    for (index c = 1; c < ntiles; ++c)
-      for (index u = 1; u < t; ++u) {
-        const auto [a, b] = inv_range(c * blk, domain, slope, u);
-        if (a < b) adv(in_buf(u), out_buf(u), a, b);
-      }
-    parity += t;
-    done += t;
+/// Advances @p units time units of the D-axis domain [0, n) tiled by @p blk;
+/// A holds even-parity units, B odd. The result is guaranteed to end in A.
+/// adv(in, out, box) advances the Box<D> one unit.
+///
+/// Stage `mask` inverts the axes whose bit is set (bit d = axis d). Each
+/// stage's tiles are flattened row-major — axis 0 outermost, the iteration
+/// order of a collapse(D) nest over the tile axes — so a static schedule
+/// hands every thread the same contiguous tile run in every time block.
+///
+/// Static schedule on purpose: the legality bound (blk >= 2*slope*tau)
+/// makes every interior tile's work identical at each unit, and the boundary
+/// trapezoids differ by at most slope*tau cells — so there is nothing for a
+/// dynamic scheduler to balance. Static dispatch drops the per-tile queue
+/// traffic and keeps the tile->thread mapping stable across time blocks,
+/// which is what the workspace first-touch relies on for NUMA locality.
+/// (The ragged-tile split engine in tiling/tiled.hpp is the one place
+/// dynamic stays.)
+template <int D, typename GridT, typename AdvanceFn>
+void tess_engine(GridT& A, GridT& B, const std::array<index, D>& n,
+                 const std::array<index, D>& blk, index units, index tau,
+                 index slope, AdvanceFn&& adv) {
+  static constexpr const char* kAxis[] = {"x", "y", "z"};
+  std::array<index, D> cnt;
+  for (int d = 0; d < D; ++d) {
+    check_tile_dim(n[d], blk[d], slope, tau, kAxis[d]);
+    cnt[d] = tile_count(n[d], blk[d]);
   }
-  if (parity % 2 != 0) A.swap_storage(B);
-}
-
-// ---------------------------------------------------------------------------
-// 2D engine: four tensor-product stages.
-// ---------------------------------------------------------------------------
-
-template <typename GridT, typename AdvanceFn>
-void tess2d_engine(GridT& A, GridT& B, index units,
-                   index tau, index slope, index bx, index by,
-                   AdvanceFn&& adv) {
-  const index nx = A.nx(), ny = A.ny();
-  check_tile_dim(nx, bx, slope, tau, "x");
-  check_tile_dim(ny, by, slope, tau, "y");
-  const index cx = tile_count(nx, bx), cy = tile_count(ny, by);
   index parity = 0;
   auto in_buf = [&](index u) -> const GridT& {
     return ((parity + u) % 2 == 0) ? A : B;
@@ -127,25 +99,37 @@ void tess2d_engine(GridT& A, GridT& B, index units,
   index done = 0;
   while (done < units) {
     const index t = std::min(tau, units - done);
-    for (int mask = 0; mask < 4; ++mask) {
-      const bool ix = mask & 1, iy = mask & 2;  // inverted profile per dim?
-      const index n_x = ix ? cx - 1 : cx;
-      const index n_y = iy ? cy - 1 : cy;
-      if (n_x <= 0 || n_y <= 0) continue;
+    for (int mask = 0; mask < (1 << D); ++mask) {
+      std::array<index, D> per;  // tiles (or seams) per axis in this stage
+      index tiles = 1;
+      for (int d = 0; d < D; ++d) {
+        per[d] = (mask >> d & 1) ? cnt[d] - 1 : cnt[d];
+        tiles *= per[d];
+      }
+      if (tiles == 0) continue;
       const index u0 = (mask == 0) ? 0 : 1;
-      // Static for the same homogeneity reason as tess1d_engine above.
-#pragma omp parallel for collapse(2) schedule(static)
-      for (index tx = 0; tx < n_x; ++tx)
-        for (index ty = 0; ty < n_y; ++ty)
-          for (index u = u0; u < t; ++u) {
-            const auto xr = ix ? inv_range((tx + 1) * bx, nx, slope, u)
-                               : tri_range(tx, cx, nx, bx, slope, u);
-            const auto yr = iy ? inv_range((ty + 1) * by, ny, slope, u)
-                               : tri_range(ty, cy, ny, by, slope, u);
-            if (xr.first < xr.second && yr.first < yr.second)
-              adv(in_buf(u), out_buf(u), xr.first, xr.second, yr.first,
-                  yr.second);
+#pragma omp parallel for schedule(static)
+      for (index f = 0; f < tiles; ++f) {
+        std::array<index, D> tc;  // tile coordinate, axis D-1 fastest
+        for (index d = D - 1, rest = f; d >= 0; --d) {
+          tc[d] = rest % per[d];
+          rest /= per[d];
+        }
+        for (index u = u0; u < t; ++u) {
+          Box<D> box;
+          bool live = true;
+          for (int d = 0; d < D; ++d) {
+            const auto r = (mask >> d & 1)
+                               ? inv_range((tc[d] + 1) * blk[d], n[d], slope, u)
+                               : tri_range(tc[d], cnt[d], n[d], blk[d], slope,
+                                           u);
+            box.lo[d] = r.first;
+            box.hi[d] = r.second;
+            live = live && r.first < r.second;
           }
+          if (live) adv(in_buf(u), out_buf(u), box);
+        }
+      }
     }
     parity += t;
     done += t;
@@ -153,60 +137,19 @@ void tess2d_engine(GridT& A, GridT& B, index units,
   if (parity % 2 != 0) A.swap_storage(B);
 }
 
-// ---------------------------------------------------------------------------
-// 3D engine: eight tensor-product stages.
-// ---------------------------------------------------------------------------
-
-template <typename GridT, typename AdvanceFn>
-void tess3d_engine(GridT& A, GridT& B, index units,
-                   index tau, index slope, index bx, index by, index bz,
-                   AdvanceFn&& adv) {
-  const index nx = A.nx(), ny = A.ny(), nz = A.nz();
-  check_tile_dim(nx, bx, slope, tau, "x");
-  check_tile_dim(ny, by, slope, tau, "y");
-  check_tile_dim(nz, bz, slope, tau, "z");
-  const index cx = tile_count(nx, bx), cy = tile_count(ny, by),
-              cz = tile_count(nz, bz);
-  index parity = 0;
-  auto in_buf = [&](index u) -> const GridT& {
-    return ((parity + u) % 2 == 0) ? A : B;
-  };
-  auto out_buf = [&](index u) -> GridT& {
-    return ((parity + u + 1) % 2 == 0) ? A : B;
-  };
-
-  index done = 0;
-  while (done < units) {
-    const index t = std::min(tau, units - done);
-    for (int mask = 0; mask < 8; ++mask) {
-      const bool ix = mask & 1, iy = mask & 2, iz = mask & 4;
-      const index n_x = ix ? cx - 1 : cx;
-      const index n_y = iy ? cy - 1 : cy;
-      const index n_z = iz ? cz - 1 : cz;
-      if (n_x <= 0 || n_y <= 0 || n_z <= 0) continue;
-      const index u0 = (mask == 0) ? 0 : 1;
-      // Static for the same homogeneity reason as tess1d_engine above.
-#pragma omp parallel for collapse(3) schedule(static)
-      for (index tx = 0; tx < n_x; ++tx)
-        for (index ty = 0; ty < n_y; ++ty)
-          for (index tz = 0; tz < n_z; ++tz)
-            for (index u = u0; u < t; ++u) {
-              const auto xr = ix ? inv_range((tx + 1) * bx, nx, slope, u)
-                                 : tri_range(tx, cx, nx, bx, slope, u);
-              const auto yr = iy ? inv_range((ty + 1) * by, ny, slope, u)
-                                 : tri_range(ty, cy, ny, by, slope, u);
-              const auto zr = iz ? inv_range((tz + 1) * bz, nz, slope, u)
-                                 : tri_range(tz, cz, nz, bz, slope, u);
-              if (xr.first < xr.second && yr.first < yr.second &&
-                  zr.first < zr.second)
-                adv(in_buf(u), out_buf(u), xr.first, xr.second, yr.first,
-                    yr.second, zr.first, zr.second);
-            }
-    }
-    parity += t;
-    done += t;
-  }
-  if (parity % 2 != 0) A.swap_storage(B);
+/// Tessellate counterpart of jacobi_run: advances @p g by @p units units of
+/// slope @p slope over its whole interior, tiled by the first G::kRank
+/// entries of @p blk. The parity buffer comes from @p ws; only its halo is
+/// refreshed (every unit rewrites a region's interior before reading it).
+template <typename G, typename AdvanceFn>
+void tess_run(G& g, index units, const Blocks& blk, index tau, index slope,
+              Workspace& ws, AdvanceFn&& adv) {
+  constexpr int D = G::kRank;
+  G& tmp = ws_grid_like(ws, kWsTmpGrid, g);
+  tmp.copy_halo_from(g);
+  std::array<index, D> b;
+  std::copy_n(blk.begin(), D, b.begin());
+  tess_engine<D>(g, tmp, extents_of(g), b, units, tau, slope, adv);
 }
 
 }  // namespace tsv

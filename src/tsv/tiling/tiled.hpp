@@ -21,14 +21,18 @@
 // Every driver is generic over the element type: the V-parameterized ones
 // compute in vec_value_t<V>, the autovec ones in the grid's own T.
 //
+// Every driver is one template over the grid type: the tessellate engine
+// (tiling/tess.hpp) hands it Box regions of any rank and the method's
+// *_step_region sweeps them through the shared row walk
+// (vectorize/method_common.hpp). Tile extents arrive as one Blocks value.
+//
 // Memory behaviour: every buffer a driver needs beyond the user's grid —
 // the tessellation parity buffer, DLT staging grids, per-thread uj2 scratch
-// pools — comes from the plan-owned Workspace (core/workspace.hpp), so the
+// pools — comes from the caller's Workspace (core/workspace.hpp), so the
 // second and subsequent executes of a plan are allocation-free. Parity /
 // staging buffers only need their *halo* refreshed per execute (every time
 // unit rewrites the whole interior before reading it); per-thread pools are
-// first-touched by their owning threads. Each driver also has a
-// self-contained overload (local Workspace) for direct/test use.
+// first-touched by their owning threads.
 // The @p stream flag (plan-resolved; see ResolvedOptions::streaming) selects
 // non-temporal write-back in the vector sweeps — only ever enabled when the
 // working set exceeds the LLC threshold and the temporal block is 1, i.e.
@@ -36,6 +40,8 @@
 
 #include <omp.h>
 
+#include <cstdint>
+#include <tuple>
 #include <vector>
 
 #include "tsv/core/workspace.hpp"
@@ -48,187 +54,170 @@
 
 namespace tsv {
 
-// ---------------------------------------------------------------------------
-// 1D drivers
-// ---------------------------------------------------------------------------
-
-template <int R, typename T>
-TSV_NOINLINE void tess_autovec_run(Grid1D<T>& g, const Stencil1D<R, T>& s, index steps,
-                      index bx, index bt, Workspace& ws) {
-  Grid1D<T>& tmp = ws_grid_like(ws, kWsTmpGrid, g);
-  tmp.copy_halo_from(g);
-  tess1d_engine(g, tmp, g.nx(), steps, bt, R, bx,
-                [&](const Grid1D<T>& in, Grid1D<T>& out, index lo,
-                    index hi) { autovec_step_region(in, out, s, lo, hi); });
+template <typename G, typename S>
+TSV_NOINLINE void tess_autovec_run(G& g, const S& s, index steps,
+                                   const Blocks& blk, index bt,
+                                   Workspace& ws) {
+  const TapRows<S> taps(s);
+  tess_run(g, steps, blk, bt, S::radius, ws,
+           [&](const G& in, G& out, const Box<G::kRank>& b) {
+             autovec_step_region(in, out, taps, b);
+           });
 }
 
-template <int R, typename T>
-void tess_autovec_run(Grid1D<T>& g, const Stencil1D<R, T>& s, index steps,
-                      index bx, index bt) {
-  Workspace ws;
-  tess_autovec_run(g, s, steps, bx, bt, ws);
+template <typename V, typename G, typename S>
+TSV_NOINLINE void tess_multiload_run(G& g, const S& s, index steps,
+                                     const Blocks& blk, index bt,
+                                     Workspace& ws) {
+  const TapRows<S> taps(s);
+  tess_run(g, steps, blk, bt, S::radius, ws,
+           [&](const G& in, G& out, const Box<G::kRank>& b) {
+             multiload_step_region<V>(in, out, taps, b);
+           });
 }
 
-template <typename V, int R>
-TSV_NOINLINE void tess_multiload_run(Grid1D<vec_value_t<V>>& g,
-                        const Stencil1D<R, vec_value_t<V>>& s, index steps,
-                        index bx, index bt, Workspace& ws) {
-  using T = vec_value_t<V>;
-  Grid1D<T>& tmp = ws_grid_like(ws, kWsTmpGrid, g);
-  tmp.copy_halo_from(g);
-  tess1d_engine(g, tmp, g.nx(), steps, bt, R, bx,
-                [&](const Grid1D<T>& in, Grid1D<T>& out, index lo,
-                    index hi) { multiload_step_region<V>(in, out, s, lo, hi); });
+template <typename V, typename G, typename S>
+TSV_NOINLINE void tess_reorg_run(G& g, const S& s, index steps,
+                                 const Blocks& blk, index bt, Workspace& ws) {
+  const TapRows<S> taps(s);
+  tess_run(g, steps, blk, bt, S::radius, ws,
+           [&](const G& in, G& out, const Box<G::kRank>& b) {
+             reorg_step_region<V>(in, out, taps, b);
+           });
 }
 
-template <typename V, int R>
-void tess_multiload_run(Grid1D<vec_value_t<V>>& g,
-                        const Stencil1D<R, vec_value_t<V>>& s, index steps,
-                        index bx, index bt) {
-  Workspace ws;
-  tess_multiload_run<V>(g, s, steps, bx, bt, ws);
-}
-
-template <typename V, int R>
-TSV_NOINLINE void tess_reorg_run(Grid1D<vec_value_t<V>>& g,
-                    const Stencil1D<R, vec_value_t<V>>& s, index steps,
-                    index bx, index bt, Workspace& ws) {
-  using T = vec_value_t<V>;
-  Grid1D<T>& tmp = ws_grid_like(ws, kWsTmpGrid, g);
-  tmp.copy_halo_from(g);
-  tess1d_engine(g, tmp, g.nx(), steps, bt, R, bx,
-                [&](const Grid1D<T>& in, Grid1D<T>& out, index lo,
-                    index hi) { reorg_step_region<V>(in, out, s, lo, hi); });
-}
-
-template <typename V, int R>
-void tess_reorg_run(Grid1D<vec_value_t<V>>& g,
-                    const Stencil1D<R, vec_value_t<V>>& s, index steps,
-                    index bx, index bt) {
-  Workspace ws;
-  tess_reorg_run<V>(g, s, steps, bx, bt, ws);
-}
-
-template <typename V, int R>
-TSV_NOINLINE void tess_transpose_run(Grid1D<vec_value_t<V>>& g,
-                        const Stencil1D<R, vec_value_t<V>>& s, index steps,
-                        index bx, index bt, Workspace& ws,
-                        bool stream = false) {
+template <typename V, typename G, typename S>
+TSV_NOINLINE void tess_transpose_run(G& g, const S& s, index steps,
+                                     const Blocks& blk, index bt,
+                                     Workspace& ws, bool stream = false) {
   using T = vec_value_t<V>;
   constexpr int W = V::width;
   detail::require_transpose_conforming(g, W);
+  const TapRows<S> taps(s);
   block_transpose_grid<T, W>(g);
-  {
-    Grid1D<T>& tmp = ws_grid_like(ws, kWsTmpGrid, g);
-    tmp.copy_halo_from(g);
-    const index nx = g.nx();
-    const auto sweep = stream ? &transpose_sweep_row_region<V, R, 1, true>
-                              : &transpose_sweep_row_region<V, R, 1, false>;
-    tess1d_engine(g, tmp, nx, steps, bt, R, bx,
-                  [&](const Grid1D<T>& in, Grid1D<T>& out, index lo,
-                      index hi) {
-                    sweep({in.x0()}, out.x0(), {s.w}, nx, lo, hi);
-                    if (stream) stream_fence();  // once per region
-                  });
-  }
+  tess_run(g, steps, blk, bt, S::radius, ws,
+           [&](const G& in, G& out, const Box<G::kRank>& b) {
+             transpose_step_region<V>(in, out, taps, b, stream);
+           });
   block_transpose_grid<T, W>(g);
-}
-
-template <typename V, int R>
-void tess_transpose_run(Grid1D<vec_value_t<V>>& g,
-                        const Stencil1D<R, vec_value_t<V>>& s, index steps,
-                        index bx, index bt) {
-  Workspace ws;
-  tess_transpose_run<V>(g, s, steps, bx, bt, ws);
 }
 
 /// "Our (2 steps)" with tiling: pair-granular tessellation. @p bt is the time
-/// range in *steps* (must be even when tiling is active).
-template <typename V, int R>
-TSV_NOINLINE void tess_transpose_uj2_run(Grid1D<vec_value_t<V>>& g,
-                            const Stencil1D<R, vec_value_t<V>>& s,
-                            index steps, index bx, index bt, Workspace& ws) {
+/// range in *steps* (must be even when tiling is active). Each region grows
+/// by R per axis for the transient level 1, which lives in a per-thread
+/// scratch (docs/METHODS.md, "The uj2 level-1 ring"); level 2 goes to the
+/// opposite parity buffer.
+template <typename V, typename G, typename S>
+TSV_NOINLINE void tess_transpose_uj2_run(G& g, const S& s, index steps,
+                                         const Blocks& blk, index bt,
+                                         Workspace& ws) {
   using T = vec_value_t<V>;
   constexpr int W = V::width;
+  constexpr int R = S::radius;
+  constexpr int D = G::kRank;
+  constexpr int NR = TapRows<S>::kCap;
   constexpr index B = block_elems<W>;
   detail::require_transpose_conforming(g, W);
   require_fmt(bt % 2 == 0, "uj2 tiling: time range bt=", bt, " must be even");
-  const index nx = g.nx();
+  const TapRows<S> taps(s);
+  const auto n = extents_of(g);
+  const index nx = n[0];
 
-  block_transpose_grid<T, W>(g);
-  {
-    Grid1D<T>& tmp = ws_grid_like(ws, kWsTmpGrid, g);
-    tmp.copy_halo_from(g);
-    // Per-thread scratch for the transient odd level of one tile region,
-    // first-touched by its owning thread (static schedule = thread i zeroes
-    // pool[i] when the team matches, which is how the tile loops index it).
-    // The lead halo must cover the deepest left-tail vector load of the
-    // second sweep — R*W elements before the first touched block when the
-    // virtual row origin sits below x = 0 of the scratch.
-    const index scr_len = bx + 2 * B + 2 * R + 16;
-    const index scr_halo = std::max<index>(static_cast<index>(R) * W, 8);
-    const int nthreads = omp_get_max_threads();
-    using Pool = std::vector<detail::ScratchRow<T>>;
-    Pool& pool = ws.slot<Pool>(
-        kWsScratchPool, ws_key(scr_len, scr_halo, nthreads), [&] {
-          Pool p(static_cast<std::size_t>(nthreads));
-          for (auto& q : p)
-            q = detail::ScratchRow<T>(scr_len, scr_halo, FirstTouch::kNone);
-#pragma omp parallel for schedule(static)
-          for (int i = 0; i < nthreads; ++i) p[i].zero();
-          return p;
-        });
-
-    auto pair_adv = [&](const Grid1D<T>& in, Grid1D<T>& out,
-                        index lo, index hi) {
-      detail::ScratchRow<T>& scr = pool[omp_get_thread_num()];
-      const index c_lo = std::max<index>(0, lo - R);
-      const index c_hi = std::min(nx, hi + R);
-      const index b0 = c_lo / B * B;
-      T* view = scr.x0() - b0;  // virtual row origin, block-aligned
-      if (c_lo == 0)
-        for (index l = 1; l <= R; ++l) view[-l] = in.x0()[-l];
-      if (c_hi == nx)
-        for (index l = 0; l < R; ++l) view[nx + l] = in.x0()[nx + l];
-      // Level +1 (odd, transient) over the extended range into scratch.
-      transpose_sweep_row_region<V, R, 1>({in.x0()}, view, {s.w}, nx, c_lo,
-                                          c_hi);
-      // Level +2 over the store range into the opposite parity buffer.
-      transpose_sweep_row_region<V, R, 1>({view}, out.x0(), {s.w}, nx, lo, hi);
-    };
-
-    const index pairs = steps / 2;
-    if (pairs > 0)
-      tess1d_engine(g, tmp, nx, pairs, std::max<index>(1, bt / 2), 2 * R, bx,
-                    pair_adv);
-    if (steps % 2 != 0)  // odd tail: one ordinary tiled step
-      tess1d_engine(g, tmp, nx, 1, 1, R, bx,
-                    [&](const Grid1D<T>& in, Grid1D<T>& out,
-                        index lo, index hi) {
-                      transpose_sweep_row_region<V, R, 1>(
-                          {in.x0()}, out.x0(), {s.w}, nx, lo, hi);
-                    });
+  // Per-thread scratch for the transient odd level of one tile region,
+  // first-touched by its owning thread (static schedule = thread i zeroes
+  // pool[i] when the team matches, which is how the tile loops index it).
+  // 1D: a block-aligned window over the region's x range; its lead halo must
+  // cover the deepest left-tail vector load of the second sweep — R*W
+  // elements before the first touched block when the window origin sits
+  // below x = 0 of the scratch. 2D/3D: full-width rows, the outermost axis
+  // cut to one tile plus its growth.
+  std::array<index, D> sn = n;
+  index sh = std::max<index>(R, 1);
+  if constexpr (D == 1) {
+    sn[0] = blk[0] + 2 * B + 2 * R + 16;
+    sh = std::max<index>(static_cast<index>(R) * W, 8);
+  } else {
+    sn[D - 1] = std::min(n[D - 1], blk[D - 1]) + 2 * R + 4;
   }
+  const int nthreads = omp_get_max_threads();
+  const std::uint64_t key = std::apply(
+      [&](auto... e) { return ws_key(e..., sh, index{nthreads}); }, sn);
+  using Pool = std::vector<G>;
+  Pool& pool = ws.slot<Pool>(kWsScratchPool, key, [&] {
+    Pool p;
+    p.reserve(static_cast<std::size_t>(nthreads));
+    for (int i = 0; i < nthreads; ++i)
+      p.push_back(make_grid<G>(sn, sh, FirstTouch::kNone));
+#pragma omp parallel for schedule(static)
+    for (int i = 0; i < nthreads; ++i) p[i].zero();
+    return p;
+  });
+
+  auto pair_adv = [&](const G& in, G& out, const Box<D>& b) {
+    G& scr = pool[omp_get_thread_num()];
+    Box<D> c;  // level-1 region: b grown by R, clipped to the domain
+    for (int d = 0; d < D; ++d) {
+      c.lo[d] = std::max<index>(0, b.lo[d] - R);
+      c.hi[d] = std::min(n[d], b.hi[d] + R);
+    }
+    const Box<3> c3 = as_box3(c);
+    // Scratch row holding level-1 row (y, z) of c.
+    auto l1_row = [&](index y, index z) -> T* {
+      if constexpr (D == 1) {
+        return scr.x0() - c.lo[0] / B * B;  // block-aligned window origin
+      } else {
+        std::array<index, 3> at{0, y, z};
+        at[D - 1] -= c.lo[D - 1];
+        return grid_row(scr, at[1], at[2]);
+      }
+    };
+    // Level +1 (odd, transient) over c into scratch. A 1D window's halo
+    // slots alias scratch interior unless the window touches that row end.
+    row_walk(in, c, taps, [&](const auto& rp, index y, index z) {
+      T* d = l1_row(y, z);
+      const T* src = grid_row(in, y, z);
+      if (D > 1 || c.lo[0] == 0)
+        for (index l = 1; l <= R; ++l) d[-l] = src[-l];
+      if (D > 1 || c.hi[0] == nx)
+        for (index l = 0; l < R; ++l) d[nx + l] = src[nx + l];
+      transpose_sweep_row_region<V, R, NR>(rp, d, taps.w, nx, c.lo[0],
+                                           c.hi[0]);
+    });
+    // Level +2 over b into the opposite parity buffer; tap rows outside c
+    // are grid halo rows.
+    auto l1_src = [&](index y, index z) -> const T* {
+      const bool in_c = y >= c3.lo[1] && y < c3.hi[1] && z >= c3.lo[2] &&
+                        z < c3.hi[2];
+      return in_c ? l1_row(y, z) : grid_row(in, y, z);
+    };
+    row_walk(b, taps, l1_src, [&](const auto& rp, index y, index z) {
+      transpose_sweep_row_region<V, R, NR>(rp, grid_row(out, y, z), taps.w,
+                                           nx, b.lo[0], b.hi[0]);
+    });
+  };
+
+  block_transpose_grid<T, W>(g);
+  const index pairs = steps / 2;
+  if (pairs > 0)
+    tess_run(g, pairs, blk, std::max<index>(1, bt / 2), 2 * R, ws, pair_adv);
+  if (steps % 2 != 0)  // odd tail: one ordinary tiled step
+    tess_run(g, 1, blk, 1, R, ws,
+             [&](const G& in, G& out, const Box<D>& b) {
+               transpose_step_region<V>(in, out, taps, b);
+             });
   block_transpose_grid<T, W>(g);
 }
 
-template <typename V, int R>
-void tess_transpose_uj2_run(Grid1D<vec_value_t<V>>& g,
-                            const Stencil1D<R, vec_value_t<V>>& s,
-                            index steps, index bx, index bt) {
-  Workspace ws;
-  tess_transpose_uj2_run<V>(g, s, steps, bx, bt, ws);
-}
-
-/// Split-tiling engine over DLT columns: like tess1d_engine, but *all* tiles
-/// shrink (the domain ends are not physical boundaries — columns 0 and L-1
-/// are coupled through the lane seam) and the seam set includes the wrapped
-/// seam at column 0/L, processed as two ranges.
+/// Split-tiling engine over DLT columns: like tess_engine<1>, but *all*
+/// tiles shrink (the domain ends are not physical boundaries — columns 0 and
+/// L-1 are coupled through the lane seam) and the seam set includes the
+/// wrapped seam at column 0/L, processed as two ranges. adv(in, out, box)
+/// advances a Box<1> of columns one unit.
 ///
 /// Both stage loops stay schedule(dynamic): the last tile may be ragged
 /// (tile_count rounds up) and tile 0 of the seam stage does the wrapped
 /// seam's two disjoint ranges, so per-tile work is NOT homogeneous here —
-/// unlike the tessellate engines (see tess.hpp), where the legality bound
+/// unlike the tessellate engine (see tess.hpp), where the legality bound
 /// makes all interior tiles identical and static scheduling measured no
 /// worse while saving the dynamic dispatch.
 template <typename GridT, typename AdvanceFn>
@@ -250,6 +239,9 @@ void split1d_wrap_engine(GridT& A, GridT& B, index domain, index units,
   auto out_buf = [&](index u) -> GridT& {
     return ((parity + u + 1) % 2 == 0) ? A : B;
   };
+  auto run = [&](index u, index a, index b) {
+    adv(in_buf(u), out_buf(u), Box<1>{{a}, {b}});
+  };
   index done = 0;
   while (done < units) {
     const index t = std::min(tau, units - done);
@@ -258,18 +250,17 @@ void split1d_wrap_engine(GridT& A, GridT& B, index domain, index units,
       for (index u = 0; u < t; ++u) {
         const index lo = c * blk, hi = std::min(domain, lo + blk);
         const index a = lo + slope * u, b = hi - slope * u;
-        if (a < b) adv(in_buf(u), out_buf(u), a, b);
+        if (a < b) run(u, a, b);
       }
 #pragma omp parallel for schedule(dynamic)
     for (index c = 0; c < ntiles; ++c)
       for (index u = 1; u < t; ++u) {
         if (c == 0) {  // wrapped seam: both domain ends, same level
-          adv(in_buf(u), out_buf(u), 0, std::min(domain, slope * u));
-          adv(in_buf(u), out_buf(u), std::max<index>(0, domain - slope * u),
-              domain);
+          run(u, 0, std::min(domain, slope * u));
+          run(u, std::max<index>(0, domain - slope * u), domain);
         } else {
           const index m = c * blk;
-          adv(in_buf(u), out_buf(u), std::max<index>(0, m - slope * u),
+          run(u, std::max<index>(0, m - slope * u),
               std::min(domain, m + slope * u));
         }
       }
@@ -279,450 +270,48 @@ void split1d_wrap_engine(GridT& A, GridT& B, index domain, index units,
   if (parity % 2 != 0) A.swap_storage(B);
 }
 
-/// SDSL baseline, 1D: DLT layout + split tiling over columns. @p bi is the
-/// tile size in columns (elements / W).
-template <typename V, int R>
-TSV_NOINLINE void sdsl_run(Grid1D<vec_value_t<V>>& g,
-              const Stencil1D<R, vec_value_t<V>>& s, index steps, index bi,
-              index bt, Workspace& ws, bool stream = false) {
+/// SDSL baseline (Henretty ICS'13): DLT layout + split tiling of one axis,
+/// @p split_block units of that axis per tile. 1D splits the DLT columns
+/// (wrapped seam engine above); 2D/3D use hybrid tiling — tessellation over
+/// the outermost axis with full DLT rows (2D) or planes (3D) per region.
+template <typename V, typename G, typename S>
+TSV_NOINLINE void sdsl_run(G& g, const S& s, index steps, index split_block,
+                           index bt, Workspace& ws, bool stream = false) {
   using T = vec_value_t<V>;
   constexpr int W = V::width;
+  constexpr int R = S::radius;
+  constexpr int D = G::kRank;
   require_fmt(g.nx() % W == 0, "SDSL/DLT requires nx % W == 0");
-  const index nx = g.nx();
-  const index L = nx / W;
-  // Clamp the temporal range so the inverted seams fit the smallest tile
-  // (ragged last tiles would otherwise make seam regions overlap the wrap).
-  const index ntiles = tile_count(L, bi);
-  const index last_tile = L - (ntiles - 1) * bi;
-  const index tau =
-      std::max<index>(1, std::min(bt, std::min(bi, last_tile) / (2 * R)));
-  Grid1D<T>& dltA = ws_grid_like(ws, kWsDltA, g);
+  const TapRows<S> taps(s);
+  const Box<D> all = dlt_interior_box<V>(g);
+  G& dltA = ws_grid_like(ws, kWsDltA, g);
   dltA.copy_halo_from(g);
   dlt_forward_grid<T, W>(g, dltA);
-  Grid1D<T>& dltB = ws_grid_like(ws, kWsDltB, g);
+  G& dltB = ws_grid_like(ws, kWsDltB, g);
   dltB.copy_halo_from(dltA);
-  // The plan only resolves stream=true at bt == 1, where tau clamps to 1 —
-  // every sweep is then a full pass with no cross-unit cache reuse.
-  const auto sweep = stream ? &dlt_sweep_row_region<V, R, 1, true>
-                            : &dlt_sweep_row_region<V, R, 1, false>;
-  split1d_wrap_engine(dltA, dltB, L, steps, tau, R, bi,
-                      [&](const Grid1D<T>& in, Grid1D<T>& out,
-                          index ilo, index ihi) {
-                        sweep({in.x0()}, out.x0(), {s.w}, nx, ilo, ihi);
-                        if (stream) stream_fence();  // once per region
-                      });
+  // The split axis is the outermost: x (as DLT columns) in 1D.
+  auto adv = [&](const G& in, G& out, const Box<1>& split) {
+    Box<D> b = all;
+    b.lo[D - 1] = split.lo[0];
+    b.hi[D - 1] = split.hi[0];
+    dlt_step_region<V>(in, out, taps, b, stream);
+  };
+  if constexpr (D == 1) {
+    // Clamp the temporal range so the inverted seams fit the smallest tile
+    // (ragged last tiles would otherwise make seam regions overlap the
+    // wrap). The plan only resolves stream=true at bt == 1, where tau clamps
+    // to 1 — every sweep is then a full pass with no cross-unit cache reuse.
+    const index L = all.hi[0];
+    const index ntiles = tile_count(L, split_block);
+    const index last_tile = L - (ntiles - 1) * split_block;
+    const index tau = std::max<index>(
+        1, std::min(bt, std::min(split_block, last_tile) / (2 * R)));
+    split1d_wrap_engine(dltA, dltB, L, steps, tau, R, split_block, adv);
+  } else {
+    tess_engine<1>(dltA, dltB, {all.hi[D - 1]}, {split_block}, steps, bt, R,
+                   adv);
+  }
   dlt_backward_grid<T, W>(dltA, g);
-}
-
-template <typename V, int R>
-void sdsl_run(Grid1D<vec_value_t<V>>& g,
-              const Stencil1D<R, vec_value_t<V>>& s, index steps, index bi,
-              index bt) {
-  Workspace ws;
-  sdsl_run<V>(g, s, steps, bi, bt, ws);
-}
-
-// ---------------------------------------------------------------------------
-// 2D drivers
-// ---------------------------------------------------------------------------
-
-template <int R, int NR, typename T>
-TSV_NOINLINE void tess_autovec_run(Grid2D<T>& g, const Stencil2D<R, NR, T>& s,
-                      index steps, index bx, index by, index bt,
-                      Workspace& ws) {
-  Grid2D<T>& tmp = ws_grid_like(ws, kWsTmpGrid, g);
-  tmp.copy_halo_from(g);
-  tess2d_engine(g, tmp, steps, bt, R, bx, by,
-                [&](const Grid2D<T>& in, Grid2D<T>& out, index xlo,
-                    index xhi, index ylo, index yhi) {
-                  autovec_step_region(in, out, s, xlo, xhi, ylo, yhi);
-                });
-}
-
-template <int R, int NR, typename T>
-void tess_autovec_run(Grid2D<T>& g, const Stencil2D<R, NR, T>& s,
-                      index steps, index bx, index by, index bt) {
-  Workspace ws;
-  tess_autovec_run(g, s, steps, bx, by, bt, ws);
-}
-
-template <typename V, int R, int NR>
-TSV_NOINLINE void tess_transpose_run(Grid2D<vec_value_t<V>>& g,
-                        const Stencil2D<R, NR, vec_value_t<V>>& s,
-                        index steps, index bx, index by, index bt,
-                        Workspace& ws, bool stream = false) {
-  using T = vec_value_t<V>;
-  constexpr int W = V::width;
-  detail::require_transpose_conforming(g, W);
-  block_transpose_grid<T, W>(g);
-  {
-    Grid2D<T>& tmp = ws_grid_like(ws, kWsTmpGrid, g);
-    tmp.copy_halo_from(g);
-    const index nx = g.nx();
-    std::array<std::array<T, 2 * R + 1>, NR> w;
-    for (int r = 0; r < NR; ++r) w[r] = padded_taps<R>(s.rows[r]);
-    const auto sweep = stream ? &transpose_sweep_row_region<V, R, NR, true>
-                              : &transpose_sweep_row_region<V, R, NR, false>;
-    tess2d_engine(g, tmp, steps, bt, R, bx, by,
-                  [&](const Grid2D<T>& in, Grid2D<T>& out, index xlo,
-                      index xhi, index ylo, index yhi) {
-                    for (index y = ylo; y < yhi; ++y) {
-                      std::array<const T*, NR> rp;
-                      for (int r = 0; r < NR; ++r)
-                        rp[r] = in.row(y + s.rows[r].dy);
-                      sweep(rp, out.row(y), w, nx, xlo, xhi);
-                    }
-                    if (stream) stream_fence();  // once per region
-                  });
-  }
-  block_transpose_grid<T, W>(g);
-}
-
-template <typename V, int R, int NR>
-void tess_transpose_run(Grid2D<vec_value_t<V>>& g,
-                        const Stencil2D<R, NR, vec_value_t<V>>& s,
-                        index steps, index bx, index by, index bt) {
-  Workspace ws;
-  tess_transpose_run<V>(g, s, steps, bx, by, bt, ws);
-}
-
-template <typename V, int R, int NR>
-TSV_NOINLINE void tess_transpose_uj2_run(Grid2D<vec_value_t<V>>& g,
-                            const Stencil2D<R, NR, vec_value_t<V>>& s,
-                            index steps, index bx, index by, index bt,
-                            Workspace& ws) {
-  using T = vec_value_t<V>;
-  constexpr int W = V::width;
-  detail::require_transpose_conforming(g, W);
-  require_fmt(bt % 2 == 0, "uj2 tiling: time range bt=", bt, " must be even");
-  const index nx = g.nx(), ny = g.ny();
-  std::array<std::array<T, 2 * R + 1>, NR> w;
-  for (int r = 0; r < NR; ++r) w[r] = padded_taps<R>(s.rows[r]);
-
-  block_transpose_grid<T, W>(g);
-  {
-    Grid2D<T>& tmp = ws_grid_like(ws, kWsTmpGrid, g);
-    tmp.copy_halo_from(g);
-    const index scr_ny = std::min(ny, by) + 2 * R + 4;
-    const int nthreads = omp_get_max_threads();
-    using Pool = std::vector<Grid2D<T>>;
-    Pool& pool = ws.slot<Pool>(
-        kWsScratchPool, ws_key(nx, scr_ny, R, nthreads), [&] {
-          Pool p;
-          p.reserve(static_cast<std::size_t>(nthreads));
-          for (int i = 0; i < nthreads; ++i)
-            p.emplace_back(nx, scr_ny, std::max<index>(R, 1),
-                           FirstTouch::kNone);
-#pragma omp parallel for schedule(static)
-          for (int i = 0; i < nthreads; ++i) p[i].zero();
-          return p;
-        });
-
-    auto pair_adv = [&](const Grid2D<T>& in, Grid2D<T>& out,
-                        index xlo, index xhi, index ylo, index yhi) {
-      Grid2D<T>& scr = pool[omp_get_thread_num()];
-      const index c_xlo = std::max<index>(0, xlo - R);
-      const index c_xhi = std::min(nx, xhi + R);
-      const index c_ylo = std::max<index>(0, ylo - R);
-      const index c_yhi = std::min(ny, yhi + R);
-      // Level +1 into scratch rows (y - c_ylo).
-      for (index y = c_ylo; y < c_yhi; ++y) {
-        T* d = scr.row(y - c_ylo);
-        const T* src = in.row(y);
-        for (index l = 1; l <= R; ++l) d[-l] = src[-l];
-        for (index l = 0; l < R; ++l) d[nx + l] = src[nx + l];
-        std::array<const T*, NR> rp;
-        for (int r = 0; r < NR; ++r) rp[r] = in.row(y + s.rows[r].dy);
-        transpose_sweep_row_region<V, R, NR>(rp, d, w, nx, c_xlo, c_xhi);
-      }
-      // Level +2 into the opposite parity buffer.
-      for (index y = ylo; y < yhi; ++y) {
-        std::array<const T*, NR> rp;
-        for (int r = 0; r < NR; ++r) {
-          const index yy = y + s.rows[r].dy;
-          rp[r] = (yy >= c_ylo && yy < c_yhi) ? scr.row(yy - c_ylo)
-                                              : in.row(yy);  // grid halo row
-        }
-        transpose_sweep_row_region<V, R, NR>(rp, out.row(y), w, nx, xlo, xhi);
-      }
-    };
-
-    const index pairs = steps / 2;
-    if (pairs > 0)
-      tess2d_engine(g, tmp, pairs, std::max<index>(1, bt / 2), 2 * R, bx, by,
-                    pair_adv);
-    if (steps % 2 != 0)
-      tess2d_engine(g, tmp, 1, 1, R, bx, by,
-                    [&](const Grid2D<T>& in, Grid2D<T>& out,
-                        index xlo, index xhi, index ylo, index yhi) {
-                      for (index y = ylo; y < yhi; ++y) {
-                        std::array<const T*, NR> rp;
-                        for (int r = 0; r < NR; ++r)
-                          rp[r] = in.row(y + s.rows[r].dy);
-                        transpose_sweep_row_region<V, R, NR>(rp, out.row(y), w,
-                                                             nx, xlo, xhi);
-                      }
-                    });
-  }
-  block_transpose_grid<T, W>(g);
-}
-
-template <typename V, int R, int NR>
-void tess_transpose_uj2_run(Grid2D<vec_value_t<V>>& g,
-                            const Stencil2D<R, NR, vec_value_t<V>>& s,
-                            index steps, index bx, index by, index bt) {
-  Workspace ws;
-  tess_transpose_uj2_run<V>(g, s, steps, bx, by, bt, ws);
-}
-
-/// SDSL baseline, 2D (hybrid tiling): DLT layout on x, tessellation over y
-/// with full rows per region.
-template <typename V, int R, int NR>
-TSV_NOINLINE void sdsl_run(Grid2D<vec_value_t<V>>& g,
-              const Stencil2D<R, NR, vec_value_t<V>>& s, index steps,
-              index by, index bt, Workspace& ws, bool stream = false) {
-  using T = vec_value_t<V>;
-  constexpr int W = V::width;
-  require_fmt(g.nx() % W == 0, "SDSL/DLT requires nx % W == 0");
-  const index nx = g.nx();
-  std::array<std::array<T, 2 * R + 1>, NR> w;
-  for (int r = 0; r < NR; ++r) w[r] = padded_taps<R>(s.rows[r]);
-  Grid2D<T>& dltA = ws_grid_like(ws, kWsDltA, g);
-  dltA.copy_halo_from(g);
-  dlt_forward_grid<T, W>(g, dltA);
-  Grid2D<T>& dltB = ws_grid_like(ws, kWsDltB, g);
-  dltB.copy_halo_from(dltA);
-  const auto sweep = stream ? &dlt_sweep_row<V, R, NR, true>
-                            : &dlt_sweep_row<V, R, NR, false>;
-  tess1d_engine(dltA, dltB, g.ny(), steps, bt, R, by,
-                [&](const Grid2D<T>& in, Grid2D<T>& out, index ylo,
-                    index yhi) {
-                  for (index y = ylo; y < yhi; ++y) {
-                    std::array<const T*, NR> rp;
-                    for (int r = 0; r < NR; ++r)
-                      rp[r] = in.row(y + s.rows[r].dy);
-                    sweep(rp, out.row(y), w, nx);
-                  }
-                  if (stream) stream_fence();  // once per region
-                });
-  dlt_backward_grid<T, W>(dltA, g);
-}
-
-template <typename V, int R, int NR>
-void sdsl_run(Grid2D<vec_value_t<V>>& g,
-              const Stencil2D<R, NR, vec_value_t<V>>& s, index steps,
-              index by, index bt) {
-  Workspace ws;
-  sdsl_run<V>(g, s, steps, by, bt, ws);
-}
-
-// ---------------------------------------------------------------------------
-// 3D drivers
-// ---------------------------------------------------------------------------
-
-template <int R, int NR, typename T>
-TSV_NOINLINE void tess_autovec_run(Grid3D<T>& g, const Stencil3D<R, NR, T>& s,
-                      index steps, index bx, index by, index bz, index bt,
-                      Workspace& ws) {
-  Grid3D<T>& tmp = ws_grid_like(ws, kWsTmpGrid, g);
-  tmp.copy_halo_from(g);
-  tess3d_engine(g, tmp, steps, bt, R, bx, by, bz,
-                [&](const Grid3D<T>& in, Grid3D<T>& out, index xlo,
-                    index xhi, index ylo, index yhi, index zlo, index zhi) {
-                  autovec_step_region(in, out, s, xlo, xhi, ylo, yhi, zlo,
-                                      zhi);
-                });
-}
-
-template <int R, int NR, typename T>
-void tess_autovec_run(Grid3D<T>& g, const Stencil3D<R, NR, T>& s,
-                      index steps, index bx, index by, index bz, index bt) {
-  Workspace ws;
-  tess_autovec_run(g, s, steps, bx, by, bz, bt, ws);
-}
-
-template <typename V, int R, int NR>
-TSV_NOINLINE void tess_transpose_run(Grid3D<vec_value_t<V>>& g,
-                        const Stencil3D<R, NR, vec_value_t<V>>& s,
-                        index steps, index bx, index by, index bz, index bt,
-                        Workspace& ws, bool stream = false) {
-  using T = vec_value_t<V>;
-  constexpr int W = V::width;
-  detail::require_transpose_conforming(g, W);
-  block_transpose_grid<T, W>(g);
-  {
-    Grid3D<T>& tmp = ws_grid_like(ws, kWsTmpGrid, g);
-    tmp.copy_halo_from(g);
-    const index nx = g.nx();
-    std::array<std::array<T, 2 * R + 1>, NR> w;
-    for (int r = 0; r < NR; ++r) w[r] = padded_taps<R>(s.rows[r]);
-    const auto sweep = stream ? &transpose_sweep_row_region<V, R, NR, true>
-                              : &transpose_sweep_row_region<V, R, NR, false>;
-    tess3d_engine(g, tmp, steps, bt, R, bx, by, bz,
-                  [&](const Grid3D<T>& in, Grid3D<T>& out, index xlo,
-                      index xhi, index ylo, index yhi, index zlo, index zhi) {
-                    for (index z = zlo; z < zhi; ++z)
-                      for (index y = ylo; y < yhi; ++y) {
-                        std::array<const T*, NR> rp;
-                        for (int r = 0; r < NR; ++r)
-                          rp[r] =
-                              in.row(y + s.rows[r].dy, z + s.rows[r].dz);
-                        sweep(rp, out.row(y, z), w, nx, xlo, xhi);
-                      }
-                    if (stream) stream_fence();  // once per region
-                  });
-  }
-  block_transpose_grid<T, W>(g);
-}
-
-template <typename V, int R, int NR>
-void tess_transpose_run(Grid3D<vec_value_t<V>>& g,
-                        const Stencil3D<R, NR, vec_value_t<V>>& s,
-                        index steps, index bx, index by, index bz, index bt) {
-  Workspace ws;
-  tess_transpose_run<V>(g, s, steps, bx, by, bz, bt, ws);
-}
-
-template <typename V, int R, int NR>
-TSV_NOINLINE void tess_transpose_uj2_run(Grid3D<vec_value_t<V>>& g,
-                            const Stencil3D<R, NR, vec_value_t<V>>& s,
-                            index steps, index bx, index by, index bz,
-                            index bt, Workspace& ws) {
-  using T = vec_value_t<V>;
-  constexpr int W = V::width;
-  detail::require_transpose_conforming(g, W);
-  require_fmt(bt % 2 == 0, "uj2 tiling: time range bt=", bt, " must be even");
-  const index nx = g.nx(), ny = g.ny(), nz = g.nz();
-  std::array<std::array<T, 2 * R + 1>, NR> w;
-  for (int r = 0; r < NR; ++r) w[r] = padded_taps<R>(s.rows[r]);
-
-  block_transpose_grid<T, W>(g);
-  {
-    Grid3D<T>& tmp = ws_grid_like(ws, kWsTmpGrid, g);
-    tmp.copy_halo_from(g);
-    const index scr_nz = std::min(nz, bz) + 2 * R + 4;
-    const int nthreads = omp_get_max_threads();
-    using Pool = std::vector<Grid3D<T>>;
-    Pool& pool = ws.slot<Pool>(
-        kWsScratchPool, ws_key(nx, ny, scr_nz, R, nthreads), [&] {
-          Pool p;
-          p.reserve(static_cast<std::size_t>(nthreads));
-          for (int i = 0; i < nthreads; ++i)
-            p.emplace_back(nx, ny, scr_nz, std::max<index>(R, 1),
-                           FirstTouch::kNone);
-#pragma omp parallel for schedule(static)
-          for (int i = 0; i < nthreads; ++i) p[i].zero();
-          return p;
-        });
-
-    auto pair_adv = [&](const Grid3D<T>& in, Grid3D<T>& out,
-                        index xlo, index xhi, index ylo, index yhi, index zlo,
-                        index zhi) {
-      Grid3D<T>& scr = pool[omp_get_thread_num()];
-      const index c_xlo = std::max<index>(0, xlo - R);
-      const index c_xhi = std::min(nx, xhi + R);
-      const index c_ylo = std::max<index>(0, ylo - R);
-      const index c_yhi = std::min(ny, yhi + R);
-      const index c_zlo = std::max<index>(0, zlo - R);
-      const index c_zhi = std::min(nz, zhi + R);
-      for (index z = c_zlo; z < c_zhi; ++z)
-        for (index y = c_ylo; y < c_yhi; ++y) {
-          T* d = scr.row(y, z - c_zlo);
-          const T* src = in.row(y, z);
-          for (index l = 1; l <= R; ++l) d[-l] = src[-l];
-          for (index l = 0; l < R; ++l) d[nx + l] = src[nx + l];
-          std::array<const T*, NR> rp;
-          for (int r = 0; r < NR; ++r)
-            rp[r] = in.row(y + s.rows[r].dy, z + s.rows[r].dz);
-          transpose_sweep_row_region<V, R, NR>(rp, d, w, nx, c_xlo, c_xhi);
-        }
-      for (index z = zlo; z < zhi; ++z)
-        for (index y = ylo; y < yhi; ++y) {
-          std::array<const T*, NR> rp;
-          for (int r = 0; r < NR; ++r) {
-            const index yy = y + s.rows[r].dy;
-            const index zz = z + s.rows[r].dz;
-            rp[r] = (yy >= c_ylo && yy < c_yhi && zz >= c_zlo && zz < c_zhi)
-                        ? scr.row(yy, zz - c_zlo)
-                        : in.row(yy, zz);  // grid halo
-          }
-          transpose_sweep_row_region<V, R, NR>(rp, out.row(y, z), w, nx, xlo,
-                                               xhi);
-        }
-    };
-
-    const index pairs = steps / 2;
-    if (pairs > 0)
-      tess3d_engine(g, tmp, pairs, std::max<index>(1, bt / 2), 2 * R, bx, by,
-                    bz, pair_adv);
-    if (steps % 2 != 0)
-      tess3d_engine(g, tmp, 1, 1, R, bx, by, bz,
-                    [&](const Grid3D<T>& in, Grid3D<T>& out,
-                        index xlo, index xhi, index ylo, index yhi, index zlo,
-                        index zhi) {
-                      for (index z = zlo; z < zhi; ++z)
-                        for (index y = ylo; y < yhi; ++y) {
-                          std::array<const T*, NR> rp;
-                          for (int r = 0; r < NR; ++r)
-                            rp[r] =
-                                in.row(y + s.rows[r].dy, z + s.rows[r].dz);
-                          transpose_sweep_row_region<V, R, NR>(
-                              rp, out.row(y, z), w, nx, xlo, xhi);
-                        }
-                    });
-  }
-  block_transpose_grid<T, W>(g);
-}
-
-template <typename V, int R, int NR>
-void tess_transpose_uj2_run(Grid3D<vec_value_t<V>>& g,
-                            const Stencil3D<R, NR, vec_value_t<V>>& s,
-                            index steps, index bx, index by, index bz,
-                            index bt) {
-  Workspace ws;
-  tess_transpose_uj2_run<V>(g, s, steps, bx, by, bz, bt, ws);
-}
-
-/// SDSL baseline, 3D (hybrid tiling): DLT layout on x, tessellation over z
-/// with full (x, y) planes per region.
-template <typename V, int R, int NR>
-TSV_NOINLINE void sdsl_run(Grid3D<vec_value_t<V>>& g,
-              const Stencil3D<R, NR, vec_value_t<V>>& s, index steps,
-              index bz, index bt, Workspace& ws, bool stream = false) {
-  using T = vec_value_t<V>;
-  constexpr int W = V::width;
-  require_fmt(g.nx() % W == 0, "SDSL/DLT requires nx % W == 0");
-  const index nx = g.nx();
-  std::array<std::array<T, 2 * R + 1>, NR> w;
-  for (int r = 0; r < NR; ++r) w[r] = padded_taps<R>(s.rows[r]);
-  Grid3D<T>& dltA = ws_grid_like(ws, kWsDltA, g);
-  dltA.copy_halo_from(g);
-  dlt_forward_grid<T, W>(g, dltA);
-  Grid3D<T>& dltB = ws_grid_like(ws, kWsDltB, g);
-  dltB.copy_halo_from(dltA);
-  const auto sweep = stream ? &dlt_sweep_row<V, R, NR, true>
-                            : &dlt_sweep_row<V, R, NR, false>;
-  tess1d_engine(dltA, dltB, g.nz(), steps, bt, R, bz,
-                [&](const Grid3D<T>& in, Grid3D<T>& out, index zlo,
-                    index zhi) {
-                  for (index z = zlo; z < zhi; ++z)
-                    for (index y = 0; y < in.ny(); ++y) {
-                      std::array<const T*, NR> rp;
-                      for (int r = 0; r < NR; ++r)
-                        rp[r] = in.row(y + s.rows[r].dy, z + s.rows[r].dz);
-                      sweep(rp, out.row(y, z), w, nx);
-                    }
-                  if (stream) stream_fence();  // once per region
-                });
-  dlt_backward_grid<T, W>(dltA, g);
-}
-
-template <typename V, int R, int NR>
-void sdsl_run(Grid3D<vec_value_t<V>>& g,
-              const Stencil3D<R, NR, vec_value_t<V>>& s, index steps,
-              index bz, index bt) {
-  Workspace ws;
-  sdsl_run<V>(g, s, steps, bz, bt, ws);
 }
 
 }  // namespace tsv

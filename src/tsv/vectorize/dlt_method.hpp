@@ -102,14 +102,6 @@ void dlt_sweep_row_region(
   }
 }
 
-/// Full-row sweep (all columns).
-template <typename V, int R, int NR, bool Stream = false>
-inline void dlt_sweep_row(
-    const std::array<const vec_value_t<V>*, NR>& rp, vec_value_t<V>* op,
-    const std::array<std::array<vec_value_t<V>, 2 * R + 1>, NR>& w, index nx) {
-  dlt_sweep_row_region<V, R, NR, Stream>(rp, op, w, nx, 0, nx / V::width);
-}
-
 // Compiled once in src/tsv/kernels_tu.cpp; see transpose_vs.hpp for why.
 #define TSV_DECLARE_DLT_SWEEP(V, R, NR)                                      \
   extern template void dlt_sweep_row_region<V, R, NR, false>(                \
@@ -141,75 +133,56 @@ TSV_DECLARE_DLT_SWEEPS_FOR(VecF16)
 #endif
 #endif  // !TSV_KERNELS_TU
 
-// ---- full-grid steps (grids already in DLT layout) ---------------------------
+// ---- drivers -----------------------------------------------------------------
 
-template <typename V, bool Stream = false, int R>
-void dlt_step(const Grid1D<vec_value_t<V>>& in, Grid1D<vec_value_t<V>>& out,
-              const Stencil1D<R, vec_value_t<V>>& s) {
-  dlt_sweep_row<V, R, 1, Stream>({in.x0()}, out.x0(), {s.w}, in.nx());
-  if constexpr (Stream) stream_fence();
+/// One Jacobi step over box @p b of a grid pair already in DLT layout. The
+/// x range of @p b counts DLT *columns* (0..nx/W), the y/z ranges rows and
+/// planes. @p stream selects the non-temporal sweep and fences once at the
+/// end — per region or per step, never per row.
+template <typename V, typename G, typename S>
+TSV_NOINLINE void dlt_step_region(const G& in, G& out, const TapRows<S>& taps,
+                                  const Box<G::kRank>& b,
+                                  bool stream = false) {
+  constexpr int R = S::radius;
+  constexpr int NR = TapRows<S>::kCap;
+  const auto sweep = stream ? &dlt_sweep_row_region<V, R, NR, true>
+                            : &dlt_sweep_row_region<V, R, NR, false>;
+  const index nx = in.nx();
+  row_walk(in, b, taps, [&](const auto& rp, index y, index z) {
+    sweep(rp, grid_row(out, y, z), taps.w, nx, b.lo[0], b.hi[0]);
+  });
+  if (stream) stream_fence();
 }
 
-template <typename V, bool Stream = false, int R, int NR>
-void dlt_step(const Grid2D<vec_value_t<V>>& in, Grid2D<vec_value_t<V>>& out,
-              const Stencil2D<R, NR, vec_value_t<V>>& s) {
-  using T = vec_value_t<V>;
-  std::array<std::array<T, 2 * R + 1>, NR> w;
-  for (int r = 0; r < NR; ++r) w[r] = padded_taps<R>(s.rows[r]);
-  for (index y = 0; y < in.ny(); ++y) {
-    std::array<const T*, NR> rp;
-    for (int r = 0; r < NR; ++r) rp[r] = in.row(y + s.rows[r].dy);
-    dlt_sweep_row<V, R, NR, Stream>(rp, out.row(y), w, in.nx());
-  }
-  if constexpr (Stream) stream_fence();  // once per step, not per row
-}
-
-template <typename V, bool Stream = false, int R, int NR>
-void dlt_step(const Grid3D<vec_value_t<V>>& in, Grid3D<vec_value_t<V>>& out,
-              const Stencil3D<R, NR, vec_value_t<V>>& s) {
-  using T = vec_value_t<V>;
-  std::array<std::array<T, 2 * R + 1>, NR> w;
-  for (int r = 0; r < NR; ++r) w[r] = padded_taps<R>(s.rows[r]);
-  for (index z = 0; z < in.nz(); ++z)
-    for (index y = 0; y < in.ny(); ++y) {
-      std::array<const T*, NR> rp;
-      for (int r = 0; r < NR; ++r)
-        rp[r] = in.row(y + s.rows[r].dy, z + s.rows[r].dz);
-      dlt_sweep_row<V, R, NR, Stream>(rp, out.row(y, z), w, in.nx());
-    }
-  if constexpr (Stream) stream_fence();  // once per step, not per row
+/// The whole interior of @p g as a box in DLT columns.
+template <typename V, typename G>
+Box<G::kRank> dlt_interior_box(const G& g) {
+  Box<G::kRank> b = interior_box(g);
+  b.hi[0] = g.nx() / V::width;
+  return b;
 }
 
 /// Full run: forward DLT (out-of-place, into a second grid — the extra array
 /// the paper counts against DLT), T steps inside the layout, backward DLT.
 /// The staging grid and the Jacobi parity buffer live in @p ws; @p stream
 /// selects non-temporal write-back (plan-resolved).
-template <typename V, typename Grid, typename S>
-TSV_NOINLINE void dlt_run(Grid& g, const S& s, index steps, Workspace& ws,
+template <typename V, typename G, typename S>
+TSV_NOINLINE void dlt_run(G& g, const S& s, index steps, Workspace& ws,
                           bool stream = false) {
   using T = vec_value_t<V>;
   constexpr int W = V::width;
   require_fmt(g.nx() % W == 0, "DLT requires nx (", g.nx(),
               ") to be a multiple of W = ", static_cast<index>(W));
   require_fmt(g.nx() / W > S::radius, "DLT requires nx/W > stencil radius");
-  Grid& t = ws_grid_like(ws, kWsDltA, g);
+  const TapRows<S> taps(s);
+  const auto all = dlt_interior_box<V>(g);
+  G& t = ws_grid_like(ws, kWsDltA, g);
   t.copy_halo_from(g);  // seam handling reads original-layout halo scalars
   dlt_forward_grid<T, W>(g, t);
-  if (stream)
-    jacobi_run(t, steps, ws, kWsTmpGrid, [&](const Grid& in, Grid& out) {
-      dlt_step<V, true>(in, out, s);
-    });
-  else
-    jacobi_run(t, steps, ws, kWsTmpGrid, [&](const Grid& in, Grid& out) {
-      dlt_step<V>(in, out, s);
-    });
+  jacobi_run(t, steps, ws, kWsTmpGrid, [&](const G& in, G& out) {
+    dlt_step_region<V>(in, out, taps, all, stream);
+  });
   dlt_backward_grid<T, W>(t, g);
-}
-
-template <typename V, typename Grid, typename S>
-void dlt_run(Grid& g, const S& s, index steps) {
-  Workspace ws;
-  dlt_run<V>(g, s, steps, ws);
 }
 
 }  // namespace tsv

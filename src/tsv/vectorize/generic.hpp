@@ -49,98 +49,27 @@ TSV_ALWAYS_INLINE void generic_row_acc(const vec_value_t<V>* p, index x,
 
 }  // namespace detail
 
-// ---- 1D --------------------------------------------------------------------
-
-template <typename V, typename S>
-TSV_NOINLINE void generic_step_region(const Grid1D<vec_value_t<V>>& in,
-                                      Grid1D<vec_value_t<V>>& out, const S& s,
-                                      index xlo, index xhi) {
+/// One Jacobi step over box @p b. @p taps is @p s's tap-row table; @p s
+/// itself only supplies the optional per-cell scale rows.
+template <typename V, typename G, typename S>
+TSV_NOINLINE void generic_step_region(const G& in, G& out, const S& s,
+                                      const TapRows<S>& taps,
+                                      const Box<G::kRank>& b) {
   using T = vec_value_t<V>;
   constexpr int R = S::radius;
   constexpr int W = V::width;
   constexpr int NB = 4;
-  const T* ip = in.x0();
-  T* op = out.x0();
-  const T* sp = nullptr;
-  if constexpr (requires { s.scale_row(); }) sp = s.scale_row();
-  index x = xlo;
-  for (; x + NB * W <= xhi; x += NB * W) {
-    std::array<V, NB> acc;
-    static_for<0, NB>([&]<int B>() { acc[B] = V::zero(); });
-    detail::generic_row_acc<V, R, NB>(ip, x, s.w, acc);
-    static_for<0, NB>([&]<int B>() {
-      V r = acc[B];
-      if (sp != nullptr) r = r * V::loadu(sp + x + B * W);
-      r.storeu(op + x + B * W);
-    });
-  }
-  for (; x + W <= xhi; x += W) {
-    std::array<V, 1> acc{V::zero()};
-    detail::generic_row_acc<V, R, 1>(ip, x, s.w, acc);
-    V r = acc[0];
-    if (sp != nullptr) r = r * V::loadu(sp + x);
-    r.storeu(op + x);
-  }
-  for (; x < xhi; ++x) {
-    const T acc = detail::scalar_row_acc<R>(ip, x, s.w, T(0));
-    op[x] = sp != nullptr ? sp[x] * acc : acc;
-  }
-}
-
-template <typename V, typename S>
-TSV_NOINLINE void generic_run(Grid1D<vec_value_t<V>>& g, const S& s,
-                              index steps, Workspace& ws) {
-  using T = vec_value_t<V>;
-  jacobi_run(g, steps, ws, kWsTmpGrid,
-             [&](const Grid1D<T>& in, Grid1D<T>& out) {
-               generic_step_region<V>(in, out, s, 0, g.nx());
-             });
-}
-
-template <typename V, typename S>
-TSV_NOINLINE void tess_generic_run(Grid1D<vec_value_t<V>>& g, const S& s,
-                                   index steps, index bx, index bt,
-                                   Workspace& ws) {
-  using T = vec_value_t<V>;
-  Grid1D<T>& tmp = ws_grid_like(ws, kWsTmpGrid, g);
-  tmp.copy_halo_from(g);
-  tess1d_engine(g, tmp, g.nx(), steps, bt, S::radius, bx,
-                [&](const Grid1D<T>& in, Grid1D<T>& out, index lo, index hi) {
-                  generic_step_region<V>(in, out, s, lo, hi);
-                });
-}
-
-// ---- 2D --------------------------------------------------------------------
-
-template <typename V, typename S>
-TSV_NOINLINE void generic_step_region(const Grid2D<vec_value_t<V>>& in,
-                                      Grid2D<vec_value_t<V>>& out, const S& s,
-                                      index xlo, index xhi, index ylo,
-                                      index yhi) {
-  using T = vec_value_t<V>;
-  constexpr int R = S::radius;
-  constexpr int W = V::width;
-  constexpr int NB = 4;
-  constexpr int kCap = detail::generic_max_rows<S>();
-  const int nr = static_cast<int>(std::size(s.rows));
-  std::array<std::array<T, 2 * R + 1>, kCap> w;
-  std::array<int, kCap> dy;
-  for (int r = 0; r < nr; ++r) {
-    w[r] = padded_taps<R>(s.rows[r]);
-    dy[r] = s.rows[r].dy;
-  }
-  for (index y = ylo; y < yhi; ++y) {
-    T* op = out.row(y);
-    std::array<const T*, kCap> rp;
-    for (int r = 0; r < nr; ++r) rp[r] = in.row(y + dy[r]);
+  const index xlo = b.lo[0], xhi = b.hi[0];
+  row_walk(in, b, taps, [&](const auto& rp, index y, index z) {
+    T* op = grid_row(out, y, z);
     const T* sp = nullptr;
-    if constexpr (requires { s.scale_row(y); }) sp = s.scale_row(y);
+    if constexpr (requires { s.scale_row(y, z); }) sp = s.scale_row(y, z);
     index x = xlo;
     for (; x + NB * W <= xhi; x += NB * W) {
       std::array<V, NB> acc;
       static_for<0, NB>([&]<int B>() { acc[B] = V::zero(); });
-      for (int r = 0; r < nr; ++r)
-        detail::generic_row_acc<V, R, NB>(rp[r], x, w[r], acc);
+      for (int r = 0; r < taps.count(); ++r)
+        detail::generic_row_acc<V, R, NB>(rp[r], x, taps.w[r], acc);
       static_for<0, NB>([&]<int B>() {
         V v = acc[B];
         if (sp != nullptr) v = v * V::loadu(sp + x + B * W);
@@ -149,125 +78,39 @@ TSV_NOINLINE void generic_step_region(const Grid2D<vec_value_t<V>>& in,
     }
     for (; x + W <= xhi; x += W) {
       std::array<V, 1> acc{V::zero()};
-      for (int r = 0; r < nr; ++r)
-        detail::generic_row_acc<V, R, 1>(rp[r], x, w[r], acc);
+      for (int r = 0; r < taps.count(); ++r)
+        detail::generic_row_acc<V, R, 1>(rp[r], x, taps.w[r], acc);
       V v = acc[0];
       if (sp != nullptr) v = v * V::loadu(sp + x);
       v.storeu(op + x);
     }
     for (; x < xhi; ++x) {
       T acc = 0;
-      for (int r = 0; r < nr; ++r)
-        acc = detail::scalar_row_acc<R>(rp[r], x, w[r], acc);
+      for (int r = 0; r < taps.count(); ++r)
+        acc = detail::scalar_row_acc<R>(rp[r], x, taps.w[r], acc);
       op[x] = sp != nullptr ? sp[x] * acc : acc;
     }
-  }
+  });
 }
 
-template <typename V, typename S>
-TSV_NOINLINE void generic_run(Grid2D<vec_value_t<V>>& g, const S& s,
-                              index steps, Workspace& ws) {
-  using T = vec_value_t<V>;
-  jacobi_run(g, steps, ws, kWsTmpGrid,
-             [&](const Grid2D<T>& in, Grid2D<T>& out) {
-               generic_step_region<V>(in, out, s, 0, g.nx(), 0, g.ny());
-             });
+template <typename V, typename G, typename S>
+TSV_NOINLINE void generic_run(G& g, const S& s, index steps, Workspace& ws) {
+  const TapRows<S> taps(s);
+  const auto all = interior_box(g);
+  jacobi_run(g, steps, ws, kWsTmpGrid, [&](const G& in, G& out) {
+    generic_step_region<V>(in, out, s, taps, all);
+  });
 }
 
-template <typename V, typename S>
-TSV_NOINLINE void tess_generic_run(Grid2D<vec_value_t<V>>& g, const S& s,
-                                   index steps, index bx, index by, index bt,
+template <typename V, typename G, typename S>
+TSV_NOINLINE void tess_generic_run(G& g, const S& s, index steps,
+                                   const Blocks& blk, index bt,
                                    Workspace& ws) {
-  using T = vec_value_t<V>;
-  Grid2D<T>& tmp = ws_grid_like(ws, kWsTmpGrid, g);
-  tmp.copy_halo_from(g);
-  tess2d_engine(g, tmp, steps, bt, S::radius, bx, by,
-                [&](const Grid2D<T>& in, Grid2D<T>& out, index xlo, index xhi,
-                    index ylo, index yhi) {
-                  generic_step_region<V>(in, out, s, xlo, xhi, ylo, yhi);
-                });
-}
-
-// ---- 3D --------------------------------------------------------------------
-
-template <typename V, typename S>
-TSV_NOINLINE void generic_step_region(const Grid3D<vec_value_t<V>>& in,
-                                      Grid3D<vec_value_t<V>>& out, const S& s,
-                                      index xlo, index xhi, index ylo,
-                                      index yhi, index zlo, index zhi) {
-  using T = vec_value_t<V>;
-  constexpr int R = S::radius;
-  constexpr int W = V::width;
-  constexpr int NB = 4;
-  constexpr int kCap = detail::generic_max_rows<S>();
-  const int nr = static_cast<int>(std::size(s.rows));
-  std::array<std::array<T, 2 * R + 1>, kCap> w;
-  std::array<int, kCap> dy, dz;
-  for (int r = 0; r < nr; ++r) {
-    w[r] = padded_taps<R>(s.rows[r]);
-    dy[r] = s.rows[r].dy;
-    dz[r] = s.rows[r].dz;
-  }
-  for (index z = zlo; z < zhi; ++z)
-    for (index y = ylo; y < yhi; ++y) {
-      T* op = out.row(y, z);
-      std::array<const T*, kCap> rp;
-      for (int r = 0; r < nr; ++r) rp[r] = in.row(y + dy[r], z + dz[r]);
-      const T* sp = nullptr;
-      if constexpr (requires { s.scale_row(y, z); }) sp = s.scale_row(y, z);
-      index x = xlo;
-      for (; x + NB * W <= xhi; x += NB * W) {
-        std::array<V, NB> acc;
-        static_for<0, NB>([&]<int B>() { acc[B] = V::zero(); });
-        for (int r = 0; r < nr; ++r)
-          detail::generic_row_acc<V, R, NB>(rp[r], x, w[r], acc);
-        static_for<0, NB>([&]<int B>() {
-          V v = acc[B];
-          if (sp != nullptr) v = v * V::loadu(sp + x + B * W);
-          v.storeu(op + x + B * W);
-        });
-      }
-      for (; x + W <= xhi; x += W) {
-        std::array<V, 1> acc{V::zero()};
-        for (int r = 0; r < nr; ++r)
-          detail::generic_row_acc<V, R, 1>(rp[r], x, w[r], acc);
-        V v = acc[0];
-        if (sp != nullptr) v = v * V::loadu(sp + x);
-        v.storeu(op + x);
-      }
-      for (; x < xhi; ++x) {
-        T acc = 0;
-        for (int r = 0; r < nr; ++r)
-          acc = detail::scalar_row_acc<R>(rp[r], x, w[r], acc);
-        op[x] = sp != nullptr ? sp[x] * acc : acc;
-      }
-    }
-}
-
-template <typename V, typename S>
-TSV_NOINLINE void generic_run(Grid3D<vec_value_t<V>>& g, const S& s,
-                              index steps, Workspace& ws) {
-  using T = vec_value_t<V>;
-  jacobi_run(g, steps, ws, kWsTmpGrid,
-             [&](const Grid3D<T>& in, Grid3D<T>& out) {
-               generic_step_region<V>(in, out, s, 0, g.nx(), 0, g.ny(), 0,
-                                      g.nz());
-             });
-}
-
-template <typename V, typename S>
-TSV_NOINLINE void tess_generic_run(Grid3D<vec_value_t<V>>& g, const S& s,
-                                   index steps, index bx, index by, index bz,
-                                   index bt, Workspace& ws) {
-  using T = vec_value_t<V>;
-  Grid3D<T>& tmp = ws_grid_like(ws, kWsTmpGrid, g);
-  tmp.copy_halo_from(g);
-  tess3d_engine(g, tmp, steps, bt, S::radius, bx, by, bz,
-                [&](const Grid3D<T>& in, Grid3D<T>& out, index xlo, index xhi,
-                    index ylo, index yhi, index zlo, index zhi) {
-                  generic_step_region<V>(in, out, s, xlo, xhi, ylo, yhi, zlo,
-                                         zhi);
-                });
+  const TapRows<S> taps(s);
+  tess_run(g, steps, blk, bt, S::radius, ws,
+           [&](const G& in, G& out, const Box<G::kRank>& b) {
+             generic_step_region<V>(in, out, s, taps, b);
+           });
 }
 
 }  // namespace tsv

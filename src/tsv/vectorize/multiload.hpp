@@ -34,143 +34,39 @@ TSV_ALWAYS_INLINE T scalar_row_acc(const T* p, index x,
 
 }  // namespace detail
 
-// ---- 1D --------------------------------------------------------------------
-
-template <typename V, int R>
-TSV_NOINLINE void multiload_step_region(const Grid1D<vec_value_t<V>>& in,
-                           Grid1D<vec_value_t<V>>& out,
-                           const Stencil1D<R, vec_value_t<V>>& s, index xlo,
-                           index xhi) {
+template <typename V, typename G, typename S>
+TSV_NOINLINE void multiload_step_region(const G& in, G& out,
+                                        const TapRows<S>& taps,
+                                        const Box<G::kRank>& b) {
   using T = vec_value_t<V>;
+  constexpr int R = S::radius;
   constexpr int W = V::width;
-  const T* ip = in.x0();
-  T* op = out.x0();
-  index x = xlo;
-  for (; x + W <= xhi; x += W) {
-    const V acc = detail::multiload_row_acc<V, R>(ip, x, s.w, V::zero());
-    acc.storeu(op + x);
-  }
-  for (; x < xhi; ++x)
-    op[x] = detail::scalar_row_acc<R>(ip, x, s.w, T(0));
-}
-
-template <typename V, int R>
-TSV_NOINLINE void multiload_run(Grid1D<vec_value_t<V>>& g,
-                   const Stencil1D<R, vec_value_t<V>>& s, index steps,
-                   Workspace& ws) {
-  using T = vec_value_t<V>;
-  jacobi_run(g, steps, ws, kWsTmpGrid, [&](const Grid1D<T>& in,
-                                           Grid1D<T>& out) {
-    multiload_step_region<V>(in, out, s, 0, g.nx());
-  });
-}
-
-template <typename V, int R>
-void multiload_run(Grid1D<vec_value_t<V>>& g,
-                   const Stencil1D<R, vec_value_t<V>>& s, index steps) {
-  Workspace ws;
-  multiload_run<V>(g, s, steps, ws);
-}
-
-// ---- 2D --------------------------------------------------------------------
-
-template <typename V, int R, int NR>
-TSV_NOINLINE void multiload_step_region(const Grid2D<vec_value_t<V>>& in,
-                           Grid2D<vec_value_t<V>>& out,
-                           const Stencil2D<R, NR, vec_value_t<V>>& s,
-                           index xlo, index xhi, index ylo, index yhi) {
-  using T = vec_value_t<V>;
-  constexpr int W = V::width;
-  std::array<std::array<T, 2 * R + 1>, NR> w;
-  for (int r = 0; r < NR; ++r) w[r] = padded_taps<R>(s.rows[r]);
-  for (index y = ylo; y < yhi; ++y) {
-    T* op = out.row(y);
-    std::array<const T*, NR> rp;
-    for (int r = 0; r < NR; ++r) rp[r] = in.row(y + s.rows[r].dy);
+  const index xlo = b.lo[0], xhi = b.hi[0];
+  row_walk(in, b, taps, [&](const auto& rp, index y, index z) {
+    T* op = grid_row(out, y, z);
     index x = xlo;
     for (; x + W <= xhi; x += W) {
       V acc = V::zero();
-      for (int r = 0; r < NR; ++r)
-        acc = detail::multiload_row_acc<V, R>(rp[r], x, w[r], acc);
+      for (int r = 0; r < taps.count(); ++r)
+        acc = detail::multiload_row_acc<V, R>(rp[r], x, taps.w[r], acc);
       acc.storeu(op + x);
     }
     for (; x < xhi; ++x) {
       T acc = 0;
-      for (int r = 0; r < NR; ++r)
-        acc = detail::scalar_row_acc<R>(rp[r], x, w[r], acc);
+      for (int r = 0; r < taps.count(); ++r)
+        acc = detail::scalar_row_acc<R>(rp[r], x, taps.w[r], acc);
       op[x] = acc;
     }
-  }
-}
-
-template <typename V, int R, int NR>
-TSV_NOINLINE void multiload_run(Grid2D<vec_value_t<V>>& g,
-                   const Stencil2D<R, NR, vec_value_t<V>>& s, index steps,
-                   Workspace& ws) {
-  using T = vec_value_t<V>;
-  jacobi_run(g, steps, ws, kWsTmpGrid, [&](const Grid2D<T>& in,
-                                           Grid2D<T>& out) {
-    multiload_step_region<V>(in, out, s, 0, g.nx(), 0, g.ny());
   });
 }
 
-template <typename V, int R, int NR>
-void multiload_run(Grid2D<vec_value_t<V>>& g,
-                   const Stencil2D<R, NR, vec_value_t<V>>& s, index steps) {
-  Workspace ws;
-  multiload_run<V>(g, s, steps, ws);
-}
-
-// ---- 3D --------------------------------------------------------------------
-
-template <typename V, int R, int NR>
-TSV_NOINLINE void multiload_step_region(const Grid3D<vec_value_t<V>>& in,
-                           Grid3D<vec_value_t<V>>& out,
-                           const Stencil3D<R, NR, vec_value_t<V>>& s,
-                           index xlo, index xhi, index ylo, index yhi,
-                           index zlo, index zhi) {
-  using T = vec_value_t<V>;
-  constexpr int W = V::width;
-  std::array<std::array<T, 2 * R + 1>, NR> w;
-  for (int r = 0; r < NR; ++r) w[r] = padded_taps<R>(s.rows[r]);
-  for (index z = zlo; z < zhi; ++z)
-    for (index y = ylo; y < yhi; ++y) {
-      T* op = out.row(y, z);
-      std::array<const T*, NR> rp;
-      for (int r = 0; r < NR; ++r)
-        rp[r] = in.row(y + s.rows[r].dy, z + s.rows[r].dz);
-      index x = xlo;
-      for (; x + W <= xhi; x += W) {
-        V acc = V::zero();
-        for (int r = 0; r < NR; ++r)
-          acc = detail::multiload_row_acc<V, R>(rp[r], x, w[r], acc);
-        acc.storeu(op + x);
-      }
-      for (; x < xhi; ++x) {
-        T acc = 0;
-        for (int r = 0; r < NR; ++r)
-          acc = detail::scalar_row_acc<R>(rp[r], x, w[r], acc);
-        op[x] = acc;
-      }
-    }
-}
-
-template <typename V, int R, int NR>
-TSV_NOINLINE void multiload_run(Grid3D<vec_value_t<V>>& g,
-                   const Stencil3D<R, NR, vec_value_t<V>>& s, index steps,
-                   Workspace& ws) {
-  using T = vec_value_t<V>;
-  jacobi_run(g, steps, ws, kWsTmpGrid, [&](const Grid3D<T>& in,
-                                           Grid3D<T>& out) {
-    multiload_step_region<V>(in, out, s, 0, g.nx(), 0, g.ny(), 0, g.nz());
+template <typename V, typename G, typename S>
+TSV_NOINLINE void multiload_run(G& g, const S& s, index steps, Workspace& ws) {
+  const TapRows<S> taps(s);
+  const auto all = interior_box(g);
+  jacobi_run(g, steps, ws, kWsTmpGrid, [&](const G& in, G& out) {
+    multiload_step_region<V>(in, out, taps, all);
   });
-}
-
-template <typename V, int R, int NR>
-void multiload_run(Grid3D<vec_value_t<V>>& g,
-                   const Stencil3D<R, NR, vec_value_t<V>>& s, index steps) {
-  Workspace ws;
-  multiload_run<V>(g, s, steps, ws);
 }
 
 }  // namespace tsv

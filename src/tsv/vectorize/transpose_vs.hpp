@@ -188,14 +188,6 @@ void transpose_sweep_row_region(
   }
 }
 
-/// Full-row sweep (whole interior).
-template <typename V, int R, int NR, bool Stream = false>
-inline void transpose_sweep_row(
-    const std::array<const vec_value_t<V>*, NR>& rp, vec_value_t<V>* op,
-    const std::array<std::array<vec_value_t<V>, 2 * R + 1>, NR>& w, index nx) {
-  transpose_sweep_row_region<V, R, NR, Stream>(rp, op, w, nx, 0, nx);
-}
-
 // The hot sweep is compiled exactly once, in src/tsv/kernels_tu.cpp — a
 // minimal translation unit. Large user TUs that instantiate many drivers
 // push GCC's inlining/scalarization heuristics into a regime where the
@@ -233,49 +225,26 @@ TSV_DECLARE_TRANSPOSE_SWEEPS_FOR(VecF16)
 #endif
 #endif  // !TSV_KERNELS_TU
 
-// ---- full-grid steps (grids already in transpose layout) --------------------
+// ---- drivers -----------------------------------------------------------------
 
-template <typename V, bool Stream = false, int R>
-void transpose_step(const Grid1D<vec_value_t<V>>& in,
-                    Grid1D<vec_value_t<V>>& out,
-                    const Stencil1D<R, vec_value_t<V>>& s) {
-  transpose_sweep_row<V, R, 1, Stream>({in.x0()}, out.x0(), {s.w}, in.nx());
-  if constexpr (Stream) stream_fence();
+/// One Jacobi step over box @p b of a grid pair already in transpose layout.
+/// @p stream selects the non-temporal sweep and fences once at the end — per
+/// region or per step, never per row.
+template <typename V, typename G, typename S>
+TSV_NOINLINE void transpose_step_region(const G& in, G& out,
+                                        const TapRows<S>& taps,
+                                        const Box<G::kRank>& b,
+                                        bool stream = false) {
+  constexpr int R = S::radius;
+  constexpr int NR = TapRows<S>::kCap;
+  const auto sweep = stream ? &transpose_sweep_row_region<V, R, NR, true>
+                            : &transpose_sweep_row_region<V, R, NR, false>;
+  const index nx = in.nx();
+  row_walk(in, b, taps, [&](const auto& rp, index y, index z) {
+    sweep(rp, grid_row(out, y, z), taps.w, nx, b.lo[0], b.hi[0]);
+  });
+  if (stream) stream_fence();
 }
-
-template <typename V, bool Stream = false, int R, int NR>
-void transpose_step(const Grid2D<vec_value_t<V>>& in,
-                    Grid2D<vec_value_t<V>>& out,
-                    const Stencil2D<R, NR, vec_value_t<V>>& s) {
-  using T = vec_value_t<V>;
-  std::array<std::array<T, 2 * R + 1>, NR> w;
-  for (int r = 0; r < NR; ++r) w[r] = padded_taps<R>(s.rows[r]);
-  for (index y = 0; y < in.ny(); ++y) {
-    std::array<const T*, NR> rp;
-    for (int r = 0; r < NR; ++r) rp[r] = in.row(y + s.rows[r].dy);
-    transpose_sweep_row<V, R, NR, Stream>(rp, out.row(y), w, in.nx());
-  }
-  if constexpr (Stream) stream_fence();  // once per step, not per row
-}
-
-template <typename V, bool Stream = false, int R, int NR>
-void transpose_step(const Grid3D<vec_value_t<V>>& in,
-                    Grid3D<vec_value_t<V>>& out,
-                    const Stencil3D<R, NR, vec_value_t<V>>& s) {
-  using T = vec_value_t<V>;
-  std::array<std::array<T, 2 * R + 1>, NR> w;
-  for (int r = 0; r < NR; ++r) w[r] = padded_taps<R>(s.rows[r]);
-  for (index z = 0; z < in.nz(); ++z)
-    for (index y = 0; y < in.ny(); ++y) {
-      std::array<const T*, NR> rp;
-      for (int r = 0; r < NR; ++r)
-        rp[r] = in.row(y + s.rows[r].dy, z + s.rows[r].dz);
-      transpose_sweep_row<V, R, NR, Stream>(rp, out.row(y, z), w, in.nx());
-    }
-  if constexpr (Stream) stream_fence();  // once per step, not per row
-}
-
-// ---- run drivers: transform once, T steps inside the layout, transform back.
 
 namespace detail {
 template <typename Grid>
@@ -286,31 +255,23 @@ void require_transpose_conforming(const Grid& g, int width) {
 }
 }  // namespace detail
 
-/// Workspace-backed run: the Jacobi parity buffer comes from @p ws (steady
-/// state is allocation-free); @p stream selects non-temporal write-back for
+/// Untiled run: transform once, T steps inside the layout, transform back.
+/// The Jacobi parity buffer comes from @p ws (steady state is
+/// allocation-free); @p stream selects non-temporal write-back for
 /// LLC-exceeding working sets (resolved by the plan layer).
-template <typename V, typename Grid, typename S>
-TSV_NOINLINE void transpose_vs_run(Grid& g, const S& s, index steps,
+template <typename V, typename G, typename S>
+TSV_NOINLINE void transpose_vs_run(G& g, const S& s, index steps,
                                    Workspace& ws, bool stream = false) {
   using T = vec_value_t<V>;
   constexpr int W = V::width;
   detail::require_transpose_conforming(g, W);
+  const TapRows<S> taps(s);
+  const auto all = interior_box(g);
   block_transpose_grid<T, W>(g);
-  if (stream)
-    jacobi_run(g, steps, ws, kWsTmpGrid, [&](const Grid& in, Grid& out) {
-      transpose_step<V, true>(in, out, s);
-    });
-  else
-    jacobi_run(g, steps, ws, kWsTmpGrid, [&](const Grid& in, Grid& out) {
-      transpose_step<V>(in, out, s);
-    });
+  jacobi_run(g, steps, ws, kWsTmpGrid, [&](const G& in, G& out) {
+    transpose_step_region<V>(in, out, taps, all, stream);
+  });
   block_transpose_grid<T, W>(g);
-}
-
-template <typename V, typename Grid, typename S>
-void transpose_vs_run(Grid& g, const S& s, index steps) {
-  Workspace ws;
-  transpose_vs_run<V>(g, s, steps, ws);
 }
 
 }  // namespace tsv

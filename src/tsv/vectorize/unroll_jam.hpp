@@ -14,8 +14,11 @@
 // 2D/3D: a row (plane) can't live in registers, so the intermediate time
 // level is kept in an L1/L2-resident ring of row (plane) scratch buffers and
 // the final level is written in place — the same halved main-memory traffic,
-// as documented in DESIGN.md §7. Implemented for K = 2 (the paper's choice).
+// as documented in docs/METHODS.md ("The uj2 level-1 ring"). Implemented for
+// K = 2 (the paper's choice).
 
+#include <cstdint>
+#include <tuple>
 #include <vector>
 
 #include "tsv/vectorize/transpose_vs.hpp"
@@ -131,211 +134,84 @@ TSV_DECLARE_UJ_SWEEPS_FOR(VecF16)
 #endif
 #endif  // !TSV_KERNELS_TU
 
-/// 1D run driver: transform to transpose layout, ⌊T/K⌋ pipelined in-place
-/// sweeps + remainder Jacobi steps, transform back. The remainder parity
-/// buffer lives in @p ws.
-template <typename V, int R, int K = 2>
-TSV_NOINLINE void unroll_jam_run(Grid1D<vec_value_t<V>>& g,
-                    const Stencil1D<R, vec_value_t<V>>& s, index steps,
-                    Workspace& ws) {
+/// Untiled run driver: transform to transpose layout, ⌊T/K⌋ fused K-step
+/// sweeps + remainder Jacobi steps, transform back. 1D runs Algorithm 1's
+/// register window (any K); 2D/3D keep the intermediate level in a ring of
+/// 2R+1 slabs along the outermost axis — rows in 2D, planes in 3D — and
+/// support K = 2. The ring and the remainder parity buffer live in @p ws.
+template <typename V, int K = 2, typename G, typename S>
+TSV_NOINLINE void unroll_jam_run(G& g, const S& s, index steps,
+                                 Workspace& ws) {
   using T = vec_value_t<V>;
   constexpr int W = V::width;
+  constexpr int R = S::radius;
+  constexpr int D = G::kRank;
+  static_assert(D == 1 || K == 2, "2D/3D unroll-and-jam implements K = 2");
   detail::require_transpose_conforming(g, W);
-  block_transpose_grid<T, W>(g);
+  const TapRows<S> taps(s);
+  const index nx = g.nx();
   const index sweeps = steps / K;
-  for (index q = 0; q < sweeps; ++q)
-    unroll_jam_sweep_row<V, R, K>(g.x0(), s.w, g.nx());
-  const index rem = steps - sweeps * K;
-  if (rem > 0)
-    jacobi_run(g, rem, ws, kWsTmpGrid, [&](const Grid1D<T>& in,
-                                           Grid1D<T>& out) {
-      transpose_step<V>(in, out, s);
+
+  block_transpose_grid<T, W>(g);
+  if constexpr (D == 1) {
+    for (index q = 0; q < sweeps; ++q)
+      unroll_jam_sweep_row<V, R, K>(g.x0(), taps.w[0], nx);
+  } else {
+    constexpr int NR = TapRows<S>::kCap;
+    constexpr index RB = 2 * R + 1;
+    using Slab = GridOf<D - 1, T>;
+    const auto n = extents_of(g);
+    const index no = n[D - 1];  // outermost extent: the ring's axis
+    std::array<index, D - 1> sn;
+    std::copy_n(n.begin(), D - 1, sn.begin());
+    const std::uint64_t key =
+        std::apply([](auto... e) { return ws_key(e..., index{R}); }, sn);
+    std::vector<Slab>& ring = ws.slot<std::vector<Slab>>(kWsRing, key, [&] {
+      std::vector<Slab> r;
+      r.reserve(RB);
+      for (index i = 0; i < RB; ++i) r.push_back(make_grid<Slab>(sn, R));
+      return r;
     });
-  block_transpose_grid<T, W>(g);
-}
-
-template <typename V, int R, int K = 2>
-void unroll_jam_run(Grid1D<vec_value_t<V>>& g,
-                    const Stencil1D<R, vec_value_t<V>>& s, index steps) {
-  Workspace ws;
-  unroll_jam_run<V, R, K>(g, s, steps, ws);
-}
-
-// ---- 2D: ring of row buffers holding the intermediate level -----------------
-
-namespace detail {
-
-/// Scratch row with the same alignment/halo contract as a grid row.
-template <typename T>
-class ScratchRow {
- public:
-  ScratchRow() = default;
-  ScratchRow(index nx, index halo, FirstTouch ft = FirstTouch::kSerial)
-      : lead_(round_up(std::max<index>(halo, 1),
-                       static_cast<index>(kAlignment / sizeof(T)))),
-        buf_(lead_ + nx + lead_, ft) {}
-
-  /// Zeroes the whole row (first touch for FirstTouch::kNone buffers —
-  /// per-thread pools call this from the owning thread).
-  void zero() { buf_.zero(); }
-
-  T* x0() { return buf_.data() + lead_; }
-  const T* x0() const { return buf_.data() + lead_; }
-
-  /// Copies the (constant) x halo from a grid row so boundary assembly works.
-  void copy_halo(const T* grid_row, index nx, index halo) {
-    for (index l = 1; l <= halo; ++l) x0()[-l] = grid_row[-l];
-    for (index l = 0; l < halo; ++l) x0()[nx + l] = grid_row[nx + l];
+    auto ring_slot = [&](index o) { return ((o % RB) + RB) % RB; };
+    // Row (y, z) at level 1: its ring slab; halo slabs and halo rows resolve
+    // to the main grid (Dirichlet values, valid at every level).
+    auto row_l1 = [&](index y, index z) -> const T* {
+      const index o = D == 2 ? y : z;
+      if (o < 0 || o >= no || y < 0 || y >= n[1]) return grid_row(g, y, z);
+      return grid_row(ring[ring_slot(o)], y, z);
+    };
+    auto slab_box = [&](index o) {
+      Box<D> b = interior_box(g);
+      b.lo[D - 1] = o;
+      b.hi[D - 1] = o + 1;
+      return b;
+    };
+    for (index q = 0; q < sweeps; ++q)
+      for (index oo = 0; oo <= no - 1 + R; ++oo) {
+        if (oo < no)  // level 1 of slab oo from level-0 rows (intact in g)
+          row_walk(g, slab_box(oo), taps,
+                   [&](const auto& rp, index y, index z) {
+                     // The x halo carries the Dirichlet values.
+                     T* d = grid_row(ring[ring_slot(oo)], y, z);
+                     const T* src = grid_row(g, y, z);
+                     for (index l = 1; l <= R; ++l) d[-l] = src[-l];
+                     for (index l = 0; l < R; ++l) d[nx + l] = src[nx + l];
+                     transpose_sweep_row_region<V, R, NR>(rp, d, taps.w, nx,
+                                                          0, nx);
+                   });
+        if (oo - R >= 0)  // level 2 of slab oo-R from the ring, in place
+          row_walk(slab_box(oo - R), taps, row_l1,
+                   [&](const auto& rp, index y, index z) {
+                     transpose_sweep_row_region<V, R, NR>(
+                         rp, grid_row(g, y, z), taps.w, nx, 0, nx);
+                   });
+      }
   }
-
- private:
-  index lead_ = 0;
-  AlignedBuffer<T> buf_;
-};
-
-}  // namespace detail
-
-/// 2D K=2 run driver (see header comment). Grid ends in original layout;
-/// the level-1 row ring and the remainder parity buffer live in @p ws.
-template <typename V, int R, int NR>
-TSV_NOINLINE void unroll_jam2_run(Grid2D<vec_value_t<V>>& g,
-                     const Stencil2D<R, NR, vec_value_t<V>>& s, index steps,
-                     Workspace& ws) {
-  using T = vec_value_t<V>;
-  constexpr int W = V::width;
-  detail::require_transpose_conforming(g, W);
-  const index nx = g.nx(), ny = g.ny();
-  std::array<std::array<T, 2 * R + 1>, NR> w;
-  for (int r = 0; r < NR; ++r) w[r] = padded_taps<R>(s.rows[r]);
-
-  block_transpose_grid<T, W>(g);
-
-  // Ring of 2R+1 level-1 rows; level-1 values of halo rows are the halo rows
-  // themselves (Dirichlet), provided by pointer selection in row_l1().
-  constexpr index RB = 2 * R + 1;
-  using Ring = std::array<detail::ScratchRow<T>, RB>;
-  Ring& ring = ws.slot<Ring>(kWsRing, ws_key(nx, R), [&] {
-    Ring r;
-    for (auto& row : r) row = detail::ScratchRow<T>(nx, R);
-    return r;
+  const auto all = interior_box(g);
+  jacobi_run(g, steps - sweeps * K, ws, kWsTmpGrid, [&](const G& in, G& out) {
+    transpose_step_region<V>(in, out, taps, all);
   });
-  auto ring_slot = [&](index y) { return ((y % RB) + RB) % RB; };
-  auto row_l1 = [&](index y) -> const T* {
-    return (y < 0 || y >= ny) ? g.row(y) : ring[ring_slot(y)].x0();
-  };
-
-  const index pairs = steps / 2;
-  for (index q = 0; q < pairs; ++q) {
-    for (index yy = 0; yy <= ny - 1 + R; ++yy) {
-      if (yy < ny) {
-        // Level 1 of row yy from level-0 rows (still intact in g).
-        detail::ScratchRow<T>& dst = ring[ring_slot(yy)];
-        dst.copy_halo(g.row(yy), nx, R);
-        std::array<const T*, NR> rp;
-        for (int r = 0; r < NR; ++r) rp[r] = g.row(yy + s.rows[r].dy);
-        transpose_sweep_row<V, R, NR>(rp, dst.x0(), w, nx);
-      }
-      const index y2 = yy - R;
-      if (y2 >= 0 && y2 < ny) {
-        // Level 2 of row y2 from the ring, written in place.
-        std::array<const T*, NR> rp;
-        for (int r = 0; r < NR; ++r) rp[r] = row_l1(y2 + s.rows[r].dy);
-        transpose_sweep_row<V, R, NR>(rp, g.row(y2), w, nx);
-      }
-    }
-  }
-  const index rem = steps - pairs * 2;
-  if (rem > 0)
-    jacobi_run(g, rem, ws, kWsTmpGrid, [&](const Grid2D<T>& in,
-                                           Grid2D<T>& out) {
-      transpose_step<V>(in, out, s);
-    });
   block_transpose_grid<T, W>(g);
-}
-
-template <typename V, int R, int NR>
-void unroll_jam2_run(Grid2D<vec_value_t<V>>& g,
-                     const Stencil2D<R, NR, vec_value_t<V>>& s, index steps) {
-  Workspace ws;
-  unroll_jam2_run<V>(g, s, steps, ws);
-}
-
-// ---- 3D: ring of plane buffers ----------------------------------------------
-
-/// 3D K=2 run driver: the intermediate level lives in 2R+1 plane buffers
-/// (Grid2D scratch, same row layout as g's planes); ring and remainder
-/// parity buffer live in @p ws.
-template <typename V, int R, int NR>
-TSV_NOINLINE void unroll_jam2_run(Grid3D<vec_value_t<V>>& g,
-                     const Stencil3D<R, NR, vec_value_t<V>>& s, index steps,
-                     Workspace& ws) {
-  using T = vec_value_t<V>;
-  constexpr int W = V::width;
-  detail::require_transpose_conforming(g, W);
-  const index nx = g.nx(), ny = g.ny(), nz = g.nz();
-  std::array<std::array<T, 2 * R + 1>, NR> w;
-  for (int r = 0; r < NR; ++r) w[r] = padded_taps<R>(s.rows[r]);
-
-  block_transpose_grid<T, W>(g);
-
-  constexpr index RB = 2 * R + 1;
-  std::vector<Grid2D<T>>& ring =
-      ws.slot<std::vector<Grid2D<T>>>(kWsRing, ws_key(nx, ny, R), [&] {
-        std::vector<Grid2D<T>> r;
-        r.reserve(RB);
-        for (index i = 0; i < RB; ++i) r.emplace_back(nx, ny, R);
-        return r;
-      });
-  auto ring_slot = [&](index z) { return ((z % RB) + RB) % RB; };
-  // Row y of the level-1 plane z; halo planes and halo rows resolve to the
-  // main grid (Dirichlet values, valid at every level).
-  auto row_l1 = [&](index y, index z) -> const T* {
-    if (z < 0 || z >= nz || y < 0 || y >= ny) return g.row(y, z);
-    return ring[ring_slot(z)].row(y);
-  };
-
-  const index pairs = steps / 2;
-  for (index q = 0; q < pairs; ++q) {
-    for (index zz = 0; zz <= nz - 1 + R; ++zz) {
-      if (zz < nz) {
-        Grid2D<T>& dst = ring[ring_slot(zz)];
-        for (index y = 0; y < ny; ++y) {
-          // x halo of the scratch rows must carry the Dirichlet values.
-          T* d = dst.row(y);
-          const T* srow = g.row(y, zz);
-          for (index l = 1; l <= R; ++l) d[-l] = srow[-l];
-          for (index l = 0; l < R; ++l) d[nx + l] = srow[nx + l];
-          std::array<const T*, NR> rp;
-          for (int r = 0; r < NR; ++r)
-            rp[r] = g.row(y + s.rows[r].dy, zz + s.rows[r].dz);
-          transpose_sweep_row<V, R, NR>(rp, d, w, nx);
-        }
-      }
-      const index z2 = zz - R;
-      if (z2 >= 0 && z2 < nz) {
-        for (index y = 0; y < ny; ++y) {
-          std::array<const T*, NR> rp;
-          for (int r = 0; r < NR; ++r)
-            rp[r] = row_l1(y + s.rows[r].dy, z2 + s.rows[r].dz);
-          transpose_sweep_row<V, R, NR>(rp, g.row(y, z2), w, nx);
-        }
-      }
-    }
-  }
-  const index rem = steps - pairs * 2;
-  if (rem > 0)
-    jacobi_run(g, rem, ws, kWsTmpGrid, [&](const Grid3D<T>& in,
-                                           Grid3D<T>& out) {
-      transpose_step<V>(in, out, s);
-    });
-  block_transpose_grid<T, W>(g);
-}
-
-template <typename V, int R, int NR>
-void unroll_jam2_run(Grid3D<vec_value_t<V>>& g,
-                     const Stencil3D<R, NR, vec_value_t<V>>& s, index steps) {
-  Workspace ws;
-  unroll_jam2_run<V>(g, s, steps, ws);
 }
 
 }  // namespace tsv

@@ -32,7 +32,7 @@ TEST(BlockTransposedOffset, IsInvolution) {
 
 TEST(BlockTransposedOffset, BlockCornersAreFixedPoints) {
   // First and last element of every block stay put — the property the
-  // cross-block assembles rely on (DESIGN.md §6.1).
+  // cross-block assembles rely on (docs/METHODS.md, "Cross-block assembly").
   constexpr int W = 4;
   for (index b = 0; b < 8; ++b) {
     EXPECT_EQ(block_transposed_offset<W>(b * 16), b * 16);

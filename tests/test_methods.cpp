@@ -92,47 +92,59 @@ void all_methods_1d() {
   for (index nx : conforming)
     for (index steps : steps_list) {
       expect_matches_reference_1d(nx, steps, s3, [](auto& g, auto& s, index t) {
-        multiload_run<V>(g, s, t);
+        Workspace ws;
+        multiload_run<V>(g, s, t, ws);
       });
       expect_matches_reference_1d(nx, steps, s3, [](auto& g, auto& s, index t) {
-        reorg_run<V>(g, s, t);
+        Workspace ws;
+        reorg_run<V>(g, s, t, ws);
       });
       expect_matches_reference_1d(nx, steps, s3, [](auto& g, auto& s, index t) {
-        dlt_run<V>(g, s, t);
+        Workspace ws;
+        dlt_run<V>(g, s, t, ws);
       });
       expect_matches_reference_1d(nx, steps, s3, [](auto& g, auto& s, index t) {
-        transpose_vs_run<V>(g, s, t);
+        Workspace ws;
+        transpose_vs_run<V>(g, s, t, ws);
       });
       expect_matches_reference_1d(nx, steps, s3, [](auto& g, auto& s, index t) {
-        unroll_jam_run<V, 1, 2>(g, s, t);
+        Workspace ws;
+        unroll_jam_run<V, 2>(g, s, t, ws);
       });
       // Radius-2 stencil.
       expect_matches_reference_1d(nx, steps, s5, [](auto& g, auto& s, index t) {
-        reorg_run<V>(g, s, t);
+        Workspace ws;
+        reorg_run<V>(g, s, t, ws);
       });
       expect_matches_reference_1d(nx, steps, s5, [](auto& g, auto& s, index t) {
-        transpose_vs_run<V>(g, s, t);
+        Workspace ws;
+        transpose_vs_run<V>(g, s, t, ws);
       });
       expect_matches_reference_1d(nx, steps, s5, [](auto& g, auto& s, index t) {
-        unroll_jam_run<V, 2, 2>(g, s, t);
+        Workspace ws;
+        unroll_jam_run<V, 2>(g, s, t, ws);
       });
       if (nx / W > 2)  // DLT's own minimum-size constraint for R = 2
         expect_matches_reference_1d(nx, steps, s5,
                                     [](auto& g, auto& s, index t) {
-                                      dlt_run<V>(g, s, t);
+                                      Workspace ws;
+                                      dlt_run<V>(g, s, t, ws);
                                     });
     }
 
   // Methods without layout constraints must handle awkward sizes.
   for (index nx : {static_cast<index>(2 * W + 3), static_cast<index>(101)}) {
     expect_matches_reference_1d(nx, 3, s3, [](auto& g, auto& s, index t) {
-      multiload_run<V>(g, s, t);
+      Workspace ws;
+      multiload_run<V>(g, s, t, ws);
     });
     expect_matches_reference_1d(nx, 3, s3, [](auto& g, auto& s, index t) {
-      reorg_run<V>(g, s, t);
+      Workspace ws;
+      reorg_run<V>(g, s, t, ws);
     });
     expect_matches_reference_1d(nx, 3, s3, [](auto& g, auto& s, index t) {
-      autovec_run(g, s, t);
+      Workspace ws;
+      autovec_run(g, s, t, ws);
     });
   }
 
@@ -140,15 +152,18 @@ void all_methods_1d() {
   for (int rep = 0; rep < 1; ++rep) {
     expect_matches_reference_1d(3 * W * W, 5, s3,
                                 [](auto& g, auto& s, index t) {
-                                  unroll_jam_run<V, 1, 1>(g, s, t);
+                                  Workspace ws;
+                                  unroll_jam_run<V, 1>(g, s, t, ws);
                                 });
     expect_matches_reference_1d(3 * W * W, 9, s3,
                                 [](auto& g, auto& s, index t) {
-                                  unroll_jam_run<V, 1, 3>(g, s, t);
+                                  Workspace ws;
+                                  unroll_jam_run<V, 3>(g, s, t, ws);
                                 });
     expect_matches_reference_1d(3 * W * W, 8, s3,
                                 [](auto& g, auto& s, index t) {
-                                  unroll_jam_run<V, 1, 4>(g, s, t);
+                                  Workspace ws;
+                                  unroll_jam_run<V, 4>(g, s, t, ws);
                                 });
   }
 }
@@ -165,7 +180,8 @@ TEST(Methods1D, AutovecMatchesReference) {
   const auto s5 = make_1d5p(0.04, 0.21, 0.47);
   for (index steps : {0, 1, 5})
     expect_matches_reference_1d(96, steps, s5, [](auto& g, auto& s, index t) {
-      autovec_run(g, s, t);
+      Workspace ws;
+      autovec_run(g, s, t, ws);
     });
 }
 
@@ -173,18 +189,19 @@ TEST(Methods1D, AutovecMatchesReference) {
 
 TEST(Methods1D, LayoutMethodsRejectNonConformingSizes) {
   auto s = make_1d3p();
+  Workspace ws;
   // W = 2: transpose layout needs nx % 4 == 0, DLT needs nx % 2 == 0.
   Grid1D<double> g10(10, 1);
   g10.fill(field1);
-  EXPECT_THROW((transpose_vs_run<Vec<double, 2>>(g10, s, 1)),
+  EXPECT_THROW((transpose_vs_run<Vec<double, 2>>(g10, s, 1, ws)),
                std::invalid_argument);
-  EXPECT_THROW((unroll_jam_run<Vec<double, 2>, 1, 2>(g10, s, 1)),
+  EXPECT_THROW((unroll_jam_run<Vec<double, 2>, 2>(g10, s, 1, ws)),
                std::invalid_argument);
   Grid1D<double> g11(11, 1);
   g11.fill(field1);
-  EXPECT_THROW((dlt_run<Vec<double, 2>>(g11, s, 1)), std::invalid_argument);
+  EXPECT_THROW((dlt_run<Vec<double, 2>>(g11, s, 1, ws)), std::invalid_argument);
   // Multiload has no constraint: same size must work.
-  EXPECT_NO_THROW((multiload_run<Vec<double, 2>>(g11, s, 1)));
+  EXPECT_NO_THROW((multiload_run<Vec<double, 2>>(g11, s, 1, ws)));
 }
 
 // ---- 2D ----------------------------------------------------------------------
@@ -200,46 +217,57 @@ void all_methods_2d() {
     for (index steps : {0, 1, 2, 5}) {
       expect_matches_reference_2d(nx, ny, steps, s5,
                                   [](auto& g, auto& s, index t) {
-                                    multiload_run<V>(g, s, t);
+                                    Workspace ws;
+                                    multiload_run<V>(g, s, t, ws);
                                   });
       expect_matches_reference_2d(nx, ny, steps, s5,
                                   [](auto& g, auto& s, index t) {
-                                    reorg_run<V>(g, s, t);
+                                    Workspace ws;
+                                    reorg_run<V>(g, s, t, ws);
                                   });
       expect_matches_reference_2d(nx, ny, steps, s5,
                                   [](auto& g, auto& s, index t) {
-                                    dlt_run<V>(g, s, t);
+                                    Workspace ws;
+                                    dlt_run<V>(g, s, t, ws);
                                   });
       expect_matches_reference_2d(nx, ny, steps, s5,
                                   [](auto& g, auto& s, index t) {
-                                    transpose_vs_run<V>(g, s, t);
+                                    Workspace ws;
+                                    transpose_vs_run<V>(g, s, t, ws);
                                   });
       expect_matches_reference_2d(nx, ny, steps, s5,
                                   [](auto& g, auto& s, index t) {
-                                    unroll_jam2_run<V>(g, s, t);
+                                    Workspace ws;
+                                    unroll_jam_run<V>(g, s, t, ws);
                                   });
       expect_matches_reference_2d(nx, ny, steps, s9,
                                   [](auto& g, auto& s, index t) {
-                                    transpose_vs_run<V>(g, s, t);
+                                    Workspace ws;
+                                    transpose_vs_run<V>(g, s, t, ws);
                                   });
       expect_matches_reference_2d(nx, ny, steps, s9,
                                   [](auto& g, auto& s, index t) {
-                                    unroll_jam2_run<V>(g, s, t);
+                                    Workspace ws;
+                                    unroll_jam_run<V>(g, s, t, ws);
                                   });
       expect_matches_reference_2d(nx, ny, steps, s9,
                                   [](auto& g, auto& s, index t) {
-                                    reorg_run<V>(g, s, t);
+                                    Workspace ws;
+                                    reorg_run<V>(g, s, t, ws);
                                   });
     }
 
   expect_matches_reference_2d(nx, 7, 3, s9, [](auto& g, auto& s, index t) {
-    autovec_run(g, s, t);
+    Workspace ws;
+    autovec_run(g, s, t, ws);
   });
   expect_matches_reference_2d(nx, 7, 3, s9, [](auto& g, auto& s, index t) {
-    dlt_run<V>(g, s, t);
+    Workspace ws;
+    dlt_run<V>(g, s, t, ws);
   });
   expect_matches_reference_2d(nx, 7, 3, s9, [](auto& g, auto& s, index t) {
-    multiload_run<V>(g, s, t);
+    Workspace ws;
+    multiload_run<V>(g, s, t, ws);
   });
 }
 
@@ -264,36 +292,44 @@ void all_methods_3d() {
   for (index steps : {0, 1, 2, 5}) {
     expect_matches_reference_3d(nx, ny, nz, steps, s7,
                                 [](auto& g, auto& s, index t) {
-                                  multiload_run<V>(g, s, t);
+                                  Workspace ws;
+                                  multiload_run<V>(g, s, t, ws);
                                 });
     expect_matches_reference_3d(nx, ny, nz, steps, s7,
                                 [](auto& g, auto& s, index t) {
-                                  reorg_run<V>(g, s, t);
+                                  Workspace ws;
+                                  reorg_run<V>(g, s, t, ws);
                                 });
     expect_matches_reference_3d(nx, ny, nz, steps, s7,
                                 [](auto& g, auto& s, index t) {
-                                  dlt_run<V>(g, s, t);
+                                  Workspace ws;
+                                  dlt_run<V>(g, s, t, ws);
                                 });
     expect_matches_reference_3d(nx, ny, nz, steps, s7,
                                 [](auto& g, auto& s, index t) {
-                                  transpose_vs_run<V>(g, s, t);
+                                  Workspace ws;
+                                  transpose_vs_run<V>(g, s, t, ws);
                                 });
     expect_matches_reference_3d(nx, ny, nz, steps, s7,
                                 [](auto& g, auto& s, index t) {
-                                  unroll_jam2_run<V>(g, s, t);
+                                  Workspace ws;
+                                  unroll_jam_run<V>(g, s, t, ws);
                                 });
     expect_matches_reference_3d(nx, ny, nz, steps, s27,
                                 [](auto& g, auto& s, index t) {
-                                  transpose_vs_run<V>(g, s, t);
+                                  Workspace ws;
+                                  transpose_vs_run<V>(g, s, t, ws);
                                 });
     expect_matches_reference_3d(nx, ny, nz, steps, s27,
                                 [](auto& g, auto& s, index t) {
-                                  unroll_jam2_run<V>(g, s, t);
+                                  Workspace ws;
+                                  unroll_jam_run<V>(g, s, t, ws);
                                 });
   }
   expect_matches_reference_3d(nx, ny, nz, 2, s27,
                               [](auto& g, auto& s, index t) {
-                                autovec_run(g, s, t);
+                                Workspace ws;
+                                autovec_run(g, s, t, ws);
                               });
 }
 
@@ -384,23 +420,39 @@ void all_float_methods_1d() {
     for (index steps : {0, 1, 2, 7}) {
       expect_matches_float_reference_1d<V>(
           nx, steps, s3,
-          [](auto& g, auto& s, index t) { multiload_run<V>(g, s, t); });
+          [](auto& g, auto& s, index t) {
+            Workspace ws;
+            multiload_run<V>(g, s, t, ws);
+          });
       expect_matches_float_reference_1d<V>(
           nx, steps, s3,
-          [](auto& g, auto& s, index t) { reorg_run<V>(g, s, t); });
+          [](auto& g, auto& s, index t) {
+            Workspace ws;
+            reorg_run<V>(g, s, t, ws);
+          });
       expect_matches_float_reference_1d<V>(
           nx, steps, s3,
-          [](auto& g, auto& s, index t) { dlt_run<V>(g, s, t); });
+          [](auto& g, auto& s, index t) {
+            Workspace ws;
+            dlt_run<V>(g, s, t, ws);
+          });
       expect_matches_float_reference_1d<V>(
           nx, steps, s3,
-          [](auto& g, auto& s, index t) { transpose_vs_run<V>(g, s, t); });
+          [](auto& g, auto& s, index t) {
+            Workspace ws;
+            transpose_vs_run<V>(g, s, t, ws);
+          });
       expect_matches_float_reference_1d<V>(
           nx, steps, s3, [](auto& g, auto& s, index t) {
-            unroll_jam_run<V, 1, 2>(g, s, t);
+            Workspace ws;
+            unroll_jam_run<V, 2>(g, s, t, ws);
           });
       expect_matches_float_reference_1d<V>(
           nx, steps, s5,
-          [](auto& g, auto& s, index t) { transpose_vs_run<V>(g, s, t); });
+          [](auto& g, auto& s, index t) {
+            Workspace ws;
+            transpose_vs_run<V>(g, s, t, ws);
+          });
     }
 }
 
@@ -426,11 +478,12 @@ void float_methods_2d_3d() {
     ref.fill(f);
     got.fill(f);
     reference_run(ref, s, steps);
-    transpose_vs_run<V>(got, s, steps);
+    Workspace ws;
+    transpose_vs_run<V>(got, s, steps, ws);
     EXPECT_LE(max_abs_diff(ref, got), tol(steps)) << "2d W=" << W;
     Grid2D<float> got_uj(nx, ny, 1);
     got_uj.fill(f);
-    unroll_jam2_run<V>(got_uj, s, steps);
+    unroll_jam_run<V>(got_uj, s, steps, ws);
     EXPECT_LE(max_abs_diff(ref, got_uj), tol(steps)) << "2d uj W=" << W;
   }
   {
@@ -444,7 +497,8 @@ void float_methods_2d_3d() {
     ref.fill(f);
     got.fill(f);
     reference_run(ref, s, steps);
-    transpose_vs_run<V>(got, s, steps);
+    Workspace ws;
+    transpose_vs_run<V>(got, s, steps, ws);
     EXPECT_LE(max_abs_diff(ref, got), tol(steps)) << "3d W=" << W;
   }
 }
@@ -486,7 +540,8 @@ void float_tracks_double_within_ulps() {
   gd.fill([](index x) { return double(ffield1<float>(x)); });  // same values
   gf.fill(ffield1<float>);
   reference_run(gd, sd, steps);
-  transpose_vs_run<V>(gf, sf, steps);
+  Workspace ws;
+  transpose_vs_run<V>(gf, sf, steps, ws);
 
   // Rounding + reassociation contribute a few ulps per step, and boundary
   // cells see mild cancellation that amplifies the relative error; 4
@@ -519,9 +574,10 @@ TEST(Methods1D, WidthsAgreeWithEachOther) {
   const index nx = 4 * 64;  // conforming for W in {2, 4, 8}
   Grid1D<double> g2 = make_grid_1d<1>(nx), g4 = make_grid_1d<1>(nx),
                  g8 = make_grid_1d<1>(nx);
-  transpose_vs_run<Vec<double, 2>>(g2, s, 6);
-  transpose_vs_run<Vec<double, 4>>(g4, s, 6);
-  transpose_vs_run<Vec<double, 8>>(g8, s, 6);
+  Workspace ws;
+  transpose_vs_run<Vec<double, 2>>(g2, s, 6, ws);
+  transpose_vs_run<Vec<double, 4>>(g4, s, 6, ws);
+  transpose_vs_run<Vec<double, 8>>(g8, s, 6, ws);
   EXPECT_LE(max_abs_diff(g2, g4), kTol);
   EXPECT_LE(max_abs_diff(g4, g8), kTol);
 }

@@ -4,7 +4,10 @@
 // every triangle/inverted-triangle/seam/boundary combination.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "tsv/kernels/reference.hpp"
 #include "tsv/tiling/tiled.hpp"
@@ -43,7 +46,8 @@ TEST(Tess1D, AutovecAllConfigs) {
           if (tile_count(nx, bx) > 1 && bx < 2 * 1 * bt) continue;
           check_1d(nx, steps, s,
                    [&](auto& g, auto& st, index t) {
-                     tess_autovec_run(g, st, t, bx, bt);
+                     Workspace ws;
+                     tess_autovec_run(g, st, t, {bx}, bt, ws);
                    },
                    "tess-autovec");
         }
@@ -57,7 +61,8 @@ TEST(Tess1D, AutovecRadius2) {
         if (24 < 2 * 2 * bt && bx == 24) continue;
         check_1d(96, steps, s,
                  [&](auto& g, auto& st, index t) {
-                   tess_autovec_run(g, st, t, bx, bt);
+                   Workspace ws;
+                   tess_autovec_run(g, st, t, {bx}, bt, ws);
                  },
                  "tess-autovec-r2");
       }
@@ -74,7 +79,8 @@ void transpose_tiled_1d_sweep() {
         if (bx < 2 * bt) continue;
         check_1d(nx, steps, s,
                  [&](auto& g, auto& st, index t) {
-                   tess_transpose_run<V>(g, st, t, bx, bt);
+                   Workspace ws;
+                   tess_transpose_run<V>(g, st, t, {bx}, bt, ws);
                  },
                  "tess-transpose");
       }
@@ -83,7 +89,8 @@ void transpose_tiled_1d_sweep() {
   for (index steps : {2, 5})
     check_1d(nx, steps, s5,
              [&](auto& g, auto& st, index t) {
-               tess_transpose_run<V>(g, st, t, 2 * W * W, 2);
+               Workspace ws;
+               tess_transpose_run<V>(g, st, t, {2 * W * W}, 2, ws);
              },
              "tess-transpose-r2");
 }
@@ -107,7 +114,8 @@ void uj2_tiled_1d_sweep() {
         if (bx < 2 * bt) continue;
         check_1d(nx, steps, s,
                  [&](auto& g, auto& st, index t) {
-                   tess_transpose_uj2_run<V>(g, st, t, bx, bt);
+                   Workspace ws;
+                   tess_transpose_uj2_run<V>(g, st, t, {bx}, bt, ws);
                  },
                  "tess-uj2");
       }
@@ -115,7 +123,8 @@ void uj2_tiled_1d_sweep() {
   for (index steps : {4, 5})
     check_1d(nx, steps, s5,
              [&](auto& g, auto& st, index t) {
-               tess_transpose_uj2_run<V>(g, st, t, 4 * W * W, 2);
+               Workspace ws;
+               tess_transpose_uj2_run<V>(g, st, t, {4 * W * W}, 2, ws);
              },
              "tess-uj2-r2");
 }
@@ -139,13 +148,17 @@ void sdsl_1d_sweep() {
         if (bi < 2 * bt) continue;
         check_1d(nx, steps, s,
                  [&](auto& g, auto& st, index t) {
-                   sdsl_run<V>(g, st, t, bi, bt);
+                   Workspace ws;
+                   sdsl_run<V>(g, st, t, bi, bt, ws);
                  },
                  "sdsl");
       }
   const auto s5 = make_1d5p(0.07, 0.2, 0.42);
   check_1d(nx, 6, s5,
-           [&](auto& g, auto& st, index t) { sdsl_run<V>(g, st, t, 16, 2); },
+           [&](auto& g, auto& st, index t) {
+             Workspace ws;
+             sdsl_run<V>(g, st, t, 16, 2, ws);
+           },
            "sdsl-r2");
 }
 
@@ -163,12 +176,14 @@ TEST(Tess1D, MultiloadAndReorgTiled) {
   for (index steps : {3, 6}) {
     check_1d(96, steps, s,
              [&](auto& g, auto& st, index t) {
-               tess_multiload_run<V>(g, st, t, 32, 3);
+               Workspace ws;
+               tess_multiload_run<V>(g, st, t, {32}, 3, ws);
              },
              "tess-multiload");
     check_1d(96, steps, s,
              [&](auto& g, auto& st, index t) {
-               tess_reorg_run<V>(g, st, t, 32, 3);
+               Workspace ws;
+               tess_reorg_run<V>(g, st, t, {32}, 3, ws);
              },
              "tess-reorg");
   }
@@ -184,7 +199,10 @@ TEST(Split1D, RaggedLastTileIsSafe) {
   const index nx = 2 * 123;
   for (index bt : {4, 16, 64})
     check_1d(nx, 9, s,
-             [&](auto& g, auto& st, index t) { sdsl_run<V>(g, st, t, 32, bt); },
+             [&](auto& g, auto& st, index t) {
+               Workspace ws;
+               sdsl_run<V>(g, st, t, 32, bt, ws);
+             },
              "sdsl-ragged");
 }
 
@@ -194,19 +212,21 @@ TEST(Tess1D, RaggedLastTileIsSafe) {
     for (index bt : {2, 4})
       check_1d(nx, 7, s,
                [&](auto& g, auto& st, index t) {
-                 tess_autovec_run(g, st, t, 32, bt);
+                 Workspace ws;
+                 tess_autovec_run(g, st, t, {32}, bt, ws);
                },
                "tess-ragged");
 }
 
 TEST(Tess1D, RejectsBadBlocking) {
   const auto s = make_1d3p();
+  Workspace ws;
   Grid1D<double> g(64, 1);
   g.fill(f1);
   // Multiple tiles with bx < 2*r*bt must be rejected.
-  EXPECT_THROW(tess_autovec_run(g, s, 4, 8, 8), std::invalid_argument);
+  EXPECT_THROW(tess_autovec_run(g, s, 4, {8}, 8, ws), std::invalid_argument);
   // Odd bt for the pair scheme must be rejected.
-  EXPECT_THROW((tess_transpose_uj2_run<Vec<double, 2>>(g, s, 4, 16, 3)),
+  EXPECT_THROW((tess_transpose_uj2_run<Vec<double, 2>>(g, s, 4, {16}, 3, ws)),
                std::invalid_argument);
 }
 
@@ -233,7 +253,8 @@ TEST(Tess2D, AutovecConfigs) {
           if (bx < 2 * bt || by < 2 * bt) continue;
           check_2d(32, 24, steps, s,
                    [&](auto& g, auto& st, index t) {
-                     tess_autovec_run(g, st, t, bx, by, bt);
+                     Workspace ws;
+                     tess_autovec_run(g, st, t, {bx, by}, bt, ws);
                    },
                    "tess2d-autovec");
         }
@@ -243,7 +264,8 @@ TEST(Tess2D, AutovecBox) {
   const auto s = make_2d9p(0.21, 0.1, 0.07);
   check_2d(32, 24, 6, s,
            [&](auto& g, auto& st, index t) {
-             tess_autovec_run(g, st, t, 16, 12, 3);
+             Workspace ws;
+             tess_autovec_run(g, st, t, {16, 12}, 3, ws);
            },
            "tess2d-autovec-box");
 }
@@ -257,26 +279,33 @@ void tess2d_transpose_sweep() {
   for (index steps : {0, 3, 6}) {
     check_2d(nx, 24, steps, s5,
              [&](auto& g, auto& st, index t) {
-               tess_transpose_run<V>(g, st, t, 2 * W * W, 12, 3);
+               Workspace ws;
+               tess_transpose_run<V>(g, st, t, {2 * W * W, 12}, 3, ws);
              },
              "tess2d-transpose");
     check_2d(nx, 24, steps, s9,
              [&](auto& g, auto& st, index t) {
-               tess_transpose_run<V>(g, st, t, 2 * W * W, 12, 3);
+               Workspace ws;
+               tess_transpose_run<V>(g, st, t, {2 * W * W, 12}, 3, ws);
              },
              "tess2d-transpose-box");
     check_2d(nx, 24, steps, s5,
              [&](auto& g, auto& st, index t) {
-               tess_transpose_uj2_run<V>(g, st, t, 2 * W * W, 12, 2);
+               Workspace ws;
+               tess_transpose_uj2_run<V>(g, st, t, {2 * W * W, 12}, 2, ws);
              },
              "tess2d-uj2");
     check_2d(nx, 24, steps, s9,
              [&](auto& g, auto& st, index t) {
-               tess_transpose_uj2_run<V>(g, st, t, 2 * W * W, 12, 2);
+               Workspace ws;
+               tess_transpose_uj2_run<V>(g, st, t, {2 * W * W, 12}, 2, ws);
              },
              "tess2d-uj2-box");
     check_2d(nx, 24, steps, s5,
-             [&](auto& g, auto& st, index t) { sdsl_run<V>(g, st, t, 12, 3); },
+             [&](auto& g, auto& st, index t) {
+               Workspace ws;
+               sdsl_run<V>(g, st, t, 12, 3, ws);
+             },
              "sdsl2d");
   }
 }
@@ -307,7 +336,8 @@ TEST(Tess3D, Autovec) {
   const auto s = make_3d7p(0.4, 0.1, 0.11, 0.09);
   check_3d(24, 16, 16, 5, s,
            [&](auto& g, auto& st, index t) {
-             tess_autovec_run(g, st, t, 12, 8, 8, 2);
+             Workspace ws;
+             tess_autovec_run(g, st, t, {12, 8, 8}, 2, ws);
            },
            "tess3d-autovec");
 }
@@ -321,21 +351,27 @@ void tess3d_transpose_sweep() {
   for (index steps : {0, 3, 6}) {
     check_3d(nx, 16, 16, steps, s7,
              [&](auto& g, auto& st, index t) {
-               tess_transpose_run<V>(g, st, t, W * W, 8, 8, 2);
+               Workspace ws;
+               tess_transpose_run<V>(g, st, t, {W * W, 8, 8}, 2, ws);
              },
              "tess3d-transpose");
     check_3d(nx, 16, 16, steps, s7,
              [&](auto& g, auto& st, index t) {
-               tess_transpose_uj2_run<V>(g, st, t, W * W, 8, 8, 2);
+               Workspace ws;
+               tess_transpose_uj2_run<V>(g, st, t, {W * W, 8, 8}, 2, ws);
              },
              "tess3d-uj2");
     check_3d(nx, 16, 16, steps, s27,
              [&](auto& g, auto& st, index t) {
-               tess_transpose_uj2_run<V>(g, st, t, W * W, 8, 8, 2);
+               Workspace ws;
+               tess_transpose_uj2_run<V>(g, st, t, {W * W, 8, 8}, 2, ws);
              },
              "tess3d-uj2-box");
     check_3d(nx, 16, 16, steps, s7,
-             [&](auto& g, auto& st, index t) { sdsl_run<V>(g, st, t, 8, 2); },
+             [&](auto& g, auto& st, index t) {
+               Workspace ws;
+               sdsl_run<V>(g, st, t, 8, 2, ws);
+             },
              "sdsl3d");
   }
 }
@@ -347,6 +383,219 @@ TEST(Tess3D, TransposeAvx2) { tess3d_transpose_sweep<Vec<double, 4>>(); }
 #if defined(__AVX512F__)
 TEST(Tess3D, TransposeAvx512) { tess3d_transpose_sweep<Vec<double, 8>>(); }
 #endif
+
+// ---- ragged last tiles (2D/3D) ------------------------------------------------
+// Extents the blocks do not divide: ny = 29 over by = 12 and nz = 19 over
+// bz = 8 leave a short last tile on y/z (and nx = 40 over bx = 16 on x for
+// autovec, which has no layout constraint on x).
+
+TEST(Tess2D, AutovecRaggedTiles) {
+  const auto s9 = make_2d9p(0.21, 0.1, 0.07);
+  for (index bt : {2, 3})
+    for (index steps : {3, 7}) {
+      check_2d(40, 29, steps, s9,
+               [&](auto& g, auto& st, index t) {
+                 Workspace ws;
+                 tess_autovec_run(g, st, t, {16, 12}, bt, ws);
+               },
+               "tess2d-autovec-ragged");
+    }
+}
+
+template <typename V>
+void tess2d_ragged_sweep() {
+  constexpr int W = V::width;
+  const auto s5 = make_2d5p(0.43, 0.14, 0.13);
+  const auto s9 = make_2d9p(0.18, 0.12, 0.06);
+  const index nx = 4 * W * W;
+  for (index steps : {3, 6, 7}) {
+    check_2d(nx, 29, steps, s5,
+             [&](auto& g, auto& st, index t) {
+               Workspace ws;
+               tess_transpose_run<V>(g, st, t, {2 * W * W, 12}, 3, ws);
+             },
+             "tess2d-transpose-ragged");
+    check_2d(nx, 29, steps, s9,
+             [&](auto& g, auto& st, index t) {
+               Workspace ws;
+               tess_transpose_uj2_run<V>(g, st, t, {2 * W * W, 12}, 4, ws);
+             },
+             "tess2d-uj2-ragged");
+    check_2d(nx, 29, steps, s5,
+             [&](auto& g, auto& st, index t) {
+               Workspace ws;
+               sdsl_run<V>(g, st, t, 12, 3, ws);
+             },
+             "sdsl2d-ragged");
+  }
+}
+
+TEST(Tess2D, RaggedW2) { tess2d_ragged_sweep<Vec<double, 2>>(); }
+#if defined(__AVX2__)
+TEST(Tess2D, RaggedAvx2) { tess2d_ragged_sweep<Vec<double, 4>>(); }
+#endif
+#if defined(__AVX512F__)
+TEST(Tess2D, RaggedAvx512) { tess2d_ragged_sweep<Vec<double, 8>>(); }
+#endif
+
+TEST(Tess3D, AutovecRaggedTiles) {
+  const auto s7 = make_3d7p(0.4, 0.1, 0.11, 0.09);
+  for (index steps : {3, 6})
+    check_3d(20, 13, 19, steps, s7,
+             [&](auto& g, auto& st, index t) {
+               Workspace ws;
+               tess_autovec_run(g, st, t, {12, 8, 8}, 2, ws);
+             },
+             "tess3d-autovec-ragged");
+}
+
+template <typename V>
+void tess3d_ragged_sweep() {
+  constexpr int W = V::width;
+  const auto s7 = make_3d7p(0.41, 0.09, 0.1, 0.12);
+  const auto s27 = make_3d27p(0.12);
+  const index nx = 2 * W * W;
+  for (index steps : {3, 5}) {
+    check_3d(nx, 13, 19, steps, s7,
+             [&](auto& g, auto& st, index t) {
+               Workspace ws;
+               tess_transpose_run<V>(g, st, t, {W * W, 8, 8}, 2, ws);
+             },
+             "tess3d-transpose-ragged");
+    check_3d(nx, 13, 19, steps, s27,
+             [&](auto& g, auto& st, index t) {
+               Workspace ws;
+               tess_transpose_uj2_run<V>(g, st, t, {nx, 8, 8}, 4, ws);
+             },
+             "tess3d-uj2-ragged");
+    check_3d(nx, 13, 19, steps, s7,
+             [&](auto& g, auto& st, index t) {
+               Workspace ws;
+               sdsl_run<V>(g, st, t, 8, 2, ws);
+             },
+             "sdsl3d-ragged");
+  }
+}
+
+TEST(Tess3D, RaggedW2) { tess3d_ragged_sweep<Vec<double, 2>>(); }
+#if defined(__AVX2__)
+TEST(Tess3D, RaggedAvx2) { tess3d_ragged_sweep<Vec<double, 4>>(); }
+#endif
+#if defined(__AVX512F__)
+TEST(Tess3D, RaggedAvx512) { tess3d_ragged_sweep<Vec<double, 8>>(); }
+#endif
+
+// ---- engine schedule invariants -----------------------------------------------
+// The engine runs against a per-cell level counter instead of a kernel: the
+// advance callback lifts every cell of its box one level. Whatever the team
+// size, (a) every cell must end at exactly `units`, and (b) when a region
+// lifts a cell from level L to L+1, every in-domain cell within `slope` on
+// each axis must be at level L or L+1 — lower is an unmet dependency, L+2
+// means the level-L parity buffer was already overwritten. The in-buffer the
+// engine hands over must also match L's parity.
+
+template <int D, typename Fn>
+void for_each_cell(const Box<D>& b, Fn&& fn) {
+  for (int d = 0; d < D; ++d)
+    if (b.lo[d] >= b.hi[d]) return;
+  std::array<index, D> c = b.lo;
+  for (;;) {
+    fn(c);
+    int d = 0;
+    while (d < D && ++c[d] == b.hi[d]) {
+      c[d] = b.lo[d];
+      ++d;
+    }
+    if (d == D) return;
+  }
+}
+
+template <int D>
+void check_engine_schedule(const std::array<index, D>& n,
+                           const std::array<index, D>& blk, index units,
+                           index tau, index slope) {
+  index cells = 1;
+  for (int d = 0; d < D; ++d) cells *= n[d];
+  std::vector<std::atomic<index>> level(static_cast<std::size_t>(cells));
+  auto at = [&](const std::array<index, D>& c) -> std::atomic<index>& {
+    index f = 0;
+    for (int d = D - 1; d >= 0; --d) f = f * n[d] + c[d];
+    return level[static_cast<std::size_t>(f)];
+  };
+  std::atomic<index> unmet{0}, clobbered{0}, wrong_parity{0};
+  Grid1D<double> A(1, 1), B(1, 1);  // stand-ins: only their identity matters
+  tess_engine<D>(A, B, n, blk, units, tau, slope,
+                 [&](const Grid1D<double>& in, Grid1D<double>&,
+                     const Box<D>& b) {
+                   for_each_cell(b, [&](const std::array<index, D>& c) {
+                     const index L = at(c).load();
+                     if ((L % 2 == 0) != (&in == &A)) ++wrong_parity;
+                     Box<D> nb;  // the cell's dependency cone, clipped
+                     for (int d = 0; d < D; ++d) {
+                       nb.lo[d] = std::max<index>(0, c[d] - slope);
+                       nb.hi[d] = std::min(n[d], c[d] + slope + 1);
+                     }
+                     for_each_cell(nb, [&](const std::array<index, D>& e) {
+                       const index le = at(e).load();
+                       if (le < L) ++unmet;
+                       if (le > L + 1) ++clobbered;
+                     });
+                     at(c).fetch_add(1);
+                   });
+                 });
+  index wrong_final = 0;
+  for (const auto& l : level) wrong_final += l.load() != units;
+  const auto cfg = [&] {
+    std::string s = "D=" + std::to_string(D) + " tau=" +
+                    std::to_string(tau) + " slope=" + std::to_string(slope);
+    for (int d = 0; d < D; ++d)
+      s += " n" + std::to_string(d) + "=" + std::to_string(n[d]) + "/" +
+           std::to_string(blk[d]);
+    return s;
+  };
+  EXPECT_EQ(wrong_final, 0) << "cells not at `units` " << cfg();
+  EXPECT_EQ(unmet.load(), 0) << "unmet dependencies " << cfg();
+  EXPECT_EQ(clobbered.load(), 0) << "overwritten parity levels " << cfg();
+  EXPECT_EQ(wrong_parity.load(), 0) << "wrong in-buffer parity " << cfg();
+}
+
+/// Block choices per axis of extent @p n: the tightest legal block, a block
+/// leaving a ragged last tile, and one larger than the axis (single tile).
+std::vector<index> engine_blocks(index n, index slope, index tau) {
+  const index tight = 2 * slope * tau;
+  return {tight, tight + 3, n + 5};
+}
+
+TEST(TessEngine, ScheduleInvariants1D) {
+  for (index tau : {1, 2, 3})
+    for (index slope : {1, 2})
+      for (index n : {37, 48})
+        for (index b : engine_blocks(n, slope, tau))
+          check_engine_schedule<1>({n}, {b}, 7, tau, slope);
+}
+
+TEST(TessEngine, ScheduleInvariants2D) {
+  for (index tau : {1, 2, 3})
+    for (index slope : {1, 2}) {
+      const std::array<index, 2> n{29, 23};
+      for (index bx : engine_blocks(n[0], slope, tau))
+        for (index by : engine_blocks(n[1], slope, tau))
+          check_engine_schedule<2>(n, {bx, by}, 5, tau, slope);
+    }
+}
+
+TEST(TessEngine, ScheduleInvariants3D) {
+  for (index tau : {1, 2, 3})
+    for (index slope : {1, 2}) {
+      const std::array<index, 3> n{17, 14, 19};
+      const index tight = 2 * slope * tau;
+      for (const std::array<index, 3>& b :
+           {std::array<index, 3>{tight, tight, tight},
+            std::array<index, 3>{tight + 3, tight + 1, tight + 2},
+            std::array<index, 3>{n[0] + 5, tight + 3, n[2] + 1}})
+        check_engine_schedule<3>(n, b, 4, tau, slope);
+    }
+}
 
 }  // namespace
 }  // namespace tsv
