@@ -6,7 +6,8 @@
 //  * tess_multiload/reorg  — ablation variants.
 //  * tess_transpose_run    — the paper's scheme ("Our"): tessellate tiling +
 //                            transpose-layout vector sets; partial sets at
-//                            moving tile edges via the layout index map.
+//                            moving tile edges through the same vector
+//                            kernel with masked stores.
 //  * tess_transpose_uj2_run— "Our (2 steps)": tessellation at two-step *pair*
 //                            granularity (triangle slope 2r per pair, paper
 //                            Fig. 5); the intermediate odd time level lives
@@ -126,19 +127,17 @@ TSV_NOINLINE void tess_transpose_uj2_run(G& g, const S& s, index steps,
   // Per-thread scratch for the transient odd level of one tile region,
   // first-touched by its owning thread (static schedule = thread i zeroes
   // pool[i] when the team matches, which is how the tile loops index it).
-  // 1D: a block-aligned window over the region's x range; its lead halo must
-  // cover the deepest left-tail vector load of the second sweep — R*W
-  // elements before the first touched block when the window origin sits
-  // below x = 0 of the scratch. 2D/3D: full-width rows, the outermost axis
-  // cut to one tile plus its growth.
+  // Rows are a block-aligned window of sw cells over the grown region's x
+  // range (docs/METHODS.md, "The uj2 level-1 ring"): its sets (at most
+  // round_up(bx + 2R, B) / B + 1), one block of lead for the level-2
+  // sweep's left-tail loads and one block past the last set for its
+  // right-dependent reads — never wider than the row. The outermost axis is
+  // cut to one tile plus its growth; the y/z halo stays R.
   std::array<index, D> sn = n;
-  index sh = std::max<index>(R, 1);
-  if constexpr (D == 1) {
-    sn[0] = blk[0] + 2 * B + 2 * R + 16;
-    sh = std::max<index>(static_cast<index>(R) * W, 8);
-  } else {
-    sn[D - 1] = std::min(n[D - 1], blk[D - 1]) + 2 * R + 4;
-  }
+  sn[0] = std::min(nx, round_up(blk[0] + 2 * R, B) + 3 * B);
+  if constexpr (D > 1) sn[D - 1] = std::min(n[D - 1], blk[D - 1]) + 2 * R + 4;
+  const index sw = sn[0];
+  const index sh = std::max<index>(R, 1);
   const int nthreads = omp_get_max_threads();
   const std::uint64_t key = std::apply(
       [&](auto... e) { return ws_key(e..., sh, index{nthreads}); }, sn);
@@ -161,24 +160,24 @@ TSV_NOINLINE void tess_transpose_uj2_run(G& g, const S& s, index steps,
       c.hi[d] = std::min(n[d], b.hi[d] + R);
     }
     const Box<3> c3 = as_box3(c);
+    // Window origin: one block of lead below c's first set, clamped so the
+    // window stays inside the row. A window that touches a row end then
+    // holds that end's x halo: c.lo == 0 gives org == 0, and c.hi == nx
+    // gives org == nx - sw (sw covers c's sets plus the lead block).
+    const index org = std::clamp<index>(c.lo[0] / B * B - B, 0, nx - sw);
     // Scratch row holding level-1 row (y, z) of c.
     auto l1_row = [&](index y, index z) -> T* {
-      if constexpr (D == 1) {
-        return scr.x0() - c.lo[0] / B * B;  // block-aligned window origin
-      } else {
-        std::array<index, 3> at{0, y, z};
-        at[D - 1] -= c.lo[D - 1];
-        return grid_row(scr, at[1], at[2]);
-      }
+      std::array<index, 3> at{0, y, z};
+      at[D - 1] -= c.lo[D - 1];
+      return grid_row(scr, at[1], at[2]) - org;
     };
-    // Level +1 (odd, transient) over c into scratch. A 1D window's halo
-    // slots alias scratch interior unless the window touches that row end.
+    // Level +1 (odd, transient) over c into scratch.
     row_walk(in, c, taps, [&](const auto& rp, index y, index z) {
       T* d = l1_row(y, z);
       const T* src = grid_row(in, y, z);
-      if (D > 1 || c.lo[0] == 0)
+      if (c.lo[0] == 0)
         for (index l = 1; l <= R; ++l) d[-l] = src[-l];
-      if (D > 1 || c.hi[0] == nx)
+      if (c.hi[0] == nx)
         for (index l = 0; l < R; ++l) d[nx + l] = src[nx + l];
       transpose_sweep_row_region<V, R, NR>(rp, d, taps.w, nx, c.lo[0],
                                            c.hi[0]);

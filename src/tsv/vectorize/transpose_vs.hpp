@@ -19,6 +19,8 @@
 // set covers twice the cells of the double variant at the same register
 // count.
 
+#include <algorithm>
+
 #include "tsv/layout/block_transpose.hpp"
 #include "tsv/vectorize/method_common.hpp"
 
@@ -96,14 +98,26 @@ inline bool has_off_center(const std::array<T, 2 * R + 1>& w) {
   return false;
 }
 
-}  // namespace detail
-
-/// Reads interior element @p x of a transpose-layout row with original-layout
-/// x halo (boundary/partial-set path).
-template <int W, typename T>
-TSV_ALWAYS_INLINE T load_tl(const T* row, index x, index nx) {
-  return (x < 0 || x >= nx) ? row[x] : row[block_transposed_offset<W>(x)];
+/// Number of lanes of vector J of the set at @p base that hold cells below
+/// @p a: lane i holds cell base + i·W + J, so that is
+/// clamp(ceil((a - base - J) / W), 0, W).
+template <int W, int J>
+TSV_ALWAYS_INLINE unsigned lanes_below(index base, index a) {
+  const index t = std::clamp<index>(a - base - J, 0, block_elems<W>);
+  return static_cast<unsigned>(t + W - 1) / W;
 }
+
+/// Store mask of vector J of the set at @p base for the cells in [xlo, xhi):
+/// the lanes inside the range form one run, [lanes_below(xlo),
+/// lanes_below(xhi)).
+template <int W, int J>
+TSV_ALWAYS_INLINE unsigned rim_mask(index base, index xlo, index xhi) {
+  const unsigned hi = (1u << lanes_below<W, J>(base, xhi)) - 1u;
+  const unsigned lo = (1u << lanes_below<W, J>(base, xlo)) - 1u;
+  return hi & ~lo;
+}
+
+}  // namespace detail
 
 /// One Jacobi step over cells [xlo, xhi) of a row in transpose layout,
 /// accumulating NR tap rows (rp[r] is the input row for tap row r; op the
@@ -113,9 +127,13 @@ TSV_ALWAYS_INLINE T load_tl(const T* row, index x, index nx) {
 /// Partial vector sets at the region rims (moving tile edges, paper §3.4)
 /// are computed with the *same* vector kernel — input values outside
 /// [xlo-R, xhi+R) may belong to other time levels, but they only reach
-/// output lanes that a masked store then discards. This keeps the rims as
-/// cheap as the interior, which is the goal of the paper's Fig. 5(d)
-/// boundary treatment.
+/// output lanes that a masked store then discards. Only the first and the
+/// last set of a region can be rims, and their store masks are closed form
+/// (detail::rim_mask), so a rim set costs a few integer ops more than an
+/// interior set — the goal of the paper's Fig. 5(d) boundary treatment.
+/// The rim sets stay in the one set loop on purpose: peeling them out
+/// duplicates the set body, and GCC then keeps the tails and accumulators
+/// on the stack.
 ///
 /// Stream = true writes full interior blocks with non-temporal stores (rim
 /// blocks keep masked cached stores) — for working sets that exceed the
@@ -175,14 +193,10 @@ void transpose_sweep_row_region(
           acc[J].store(op + base + J * W);
       });
     } else {
-      // Rim block: store only the cells inside [xlo, xhi).
+      // Rim set: store only the cells inside [xlo, xhi).
       static_for<0, W>([&]<int J>() {
-        unsigned mask = 0;
-        for (int i = 0; i < W; ++i) {
-          const index x = base + static_cast<index>(i) * W + J;
-          if (x >= xlo && x < xhi) mask |= 1u << i;
-        }
-        acc[J].store_mask(op + base + J * W, mask);
+        acc[J].store_mask(op + base + J * W,
+                          detail::rim_mask<W, J>(base, xlo, xhi));
       });
     }
   }

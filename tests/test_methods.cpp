@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <vector>
 
 #include "tsv/kernels/reference.hpp"
 #include "tsv/vectorize/autovec.hpp"
@@ -564,6 +565,65 @@ TEST(FloatVsDouble, UlpBoundAvx2W8) {
 TEST(FloatVsDouble, UlpBoundAvx512W16) {
   float_tracks_double_within_ulps<Vec<float, 16>>();
 }
+#endif
+
+// ---- transpose rim sets -------------------------------------------------------
+// A region sweep over [xlo, xhi) must store exactly what the full-row sweep
+// stores on those cells and leave every other cell alone. Every xlo < xhi in
+// a 3-block row: left rims, right rims, both rims in one set, regions with
+// and without full sets between them, and every lane run of the rim masks.
+
+template <typename V, int R>
+void rim_sets_match_full_row() {
+  using T = vec_value_t<V>;
+  constexpr int W = V::width;
+  const index nx = 3 * block_elems<W>;
+  Grid1D<T> in(nx, R), full(nx, R), out(nx, R);
+  in.fill([](index x) {
+    return static_cast<T>(std::sin(0.37 * x) + 0.01 * x);
+  });
+  std::array<std::array<T, 2 * R + 1>, 1> w{};
+  for (int i = 0; i <= 2 * R; ++i) w[0][i] = static_cast<T>(0.1 + 0.07 * i);
+  const std::array<const T*, 1> rp{in.x0()};
+  transpose_sweep_row_region<V, R, 1>(rp, full.x0(), w, nx, 0, nx);
+
+  // pos[i]: memory offset of cell x = i - R (original layout in the halo).
+  std::vector<index> pos;
+  for (index x = -R; x < nx + R; ++x)
+    pos.push_back(x < 0 || x >= nx ? x : block_transposed_offset<W>(x));
+  const T sentinel = static_cast<T>(-777.25);
+  index bad = 0;
+  for (index xlo = 0; xlo < nx; ++xlo)
+    for (index xhi = xlo + 1; xhi <= nx; ++xhi) {
+      out.fill([&](index) { return sentinel; });
+      transpose_sweep_row_region<V, R, 1>(rp, out.x0(), w, nx, xlo, xhi);
+      for (index x = -R; x < nx + R; ++x) {
+        const index p = pos[static_cast<std::size_t>(x + R)];
+        const T want = (x >= xlo && x < xhi) ? full.x0()[p] : sentinel;
+        if (std::memcmp(&out.x0()[p], &want, sizeof(T)) != 0 && bad++ < 5)
+          ADD_FAILURE() << "W=" << W << " R=" << R << " [" << xlo << ", "
+                        << xhi << ") cell " << x << ": got " << out.x0()[p]
+                        << ", want " << want;
+      }
+    }
+  EXPECT_EQ(bad, 0) << "W=" << W << " R=" << R;
+}
+
+template <typename V>
+void rim_sets_match_full_row_r12() {
+  rim_sets_match_full_row<V, 1>();
+  rim_sets_match_full_row<V, 2>();
+}
+
+TEST(TransposeRims, MatchFullRowD2) { rim_sets_match_full_row_r12<VecD2>(); }
+TEST(TransposeRims, MatchFullRowF4) { rim_sets_match_full_row_r12<VecF4>(); }
+#if defined(__AVX2__)
+TEST(TransposeRims, MatchFullRowD4) { rim_sets_match_full_row_r12<VecD4>(); }
+TEST(TransposeRims, MatchFullRowF8) { rim_sets_match_full_row_r12<VecF8>(); }
+#endif
+#if defined(__AVX512F__)
+TEST(TransposeRims, MatchFullRowD8) { rim_sets_match_full_row_r12<VecD8>(); }
+TEST(TransposeRims, MatchFullRowF16) { rim_sets_match_full_row_r12<VecF16>(); }
 #endif
 
 // ---- cross-width agreement ----------------------------------------------------

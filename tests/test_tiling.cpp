@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -483,6 +484,84 @@ TEST(Tess3D, RaggedAvx2) { tess3d_ragged_sweep<Vec<double, 4>>(); }
 #endif
 #if defined(__AVX512F__)
 TEST(Tess3D, RaggedAvx512) { tess3d_ragged_sweep<Vec<double, 8>>(); }
+#endif
+
+// ---- tiled == untiled, bitwise ----------------------------------------------
+// A tessellated transpose run computes every cell with the same sweep
+// arithmetic as the untiled run of the same method — rim sets go through the
+// same vector kernel and only their stores are masked — so the results must
+// agree bit for bit, not just within a tolerance. The configurations cover
+// ragged tiles on every axis, a single x tile (every level-1 window then
+// touches both row ends), a uj2 scratch window narrower than the row, odd
+// step counts (the single-step tail) and non-zero Dirichlet halos (the
+// fields are evaluated on the halo too).
+
+template <typename G>
+bool interiors_bitwise_equal(const G& a, const G& b) {
+  const Box<3> box = as_box3(interior_box(a));
+  const auto bytes = static_cast<std::size_t>(a.nx()) * sizeof(double);
+  for (index z = box.lo[2]; z < box.hi[2]; ++z)
+    for (index y = box.lo[1]; y < box.hi[1]; ++y)
+      if (std::memcmp(grid_row(a, y, z), grid_row(b, y, z), bytes) != 0)
+        return false;
+  return true;
+}
+
+template <typename V, typename G, typename S>
+void check_tiled_bitwise(const G& init, const S& s, index steps,
+                         const Blocks& blk, index bt, const std::string& what) {
+  Workspace ws;
+  G untiled = init, tiled = init;
+  transpose_vs_run<V>(untiled, s, steps, ws);
+  tess_transpose_run<V>(tiled, s, steps, blk, bt, ws);
+  EXPECT_TRUE(interiors_bitwise_equal(untiled, tiled))
+      << "transpose " << what << " T=" << steps << " bt=" << bt;
+  untiled = init;
+  tiled = init;
+  unroll_jam_run<V>(untiled, s, steps, ws);
+  tess_transpose_uj2_run<V>(tiled, s, steps, blk, bt, ws);
+  EXPECT_TRUE(interiors_bitwise_equal(untiled, tiled))
+      << "transpose-uj2 " << what << " T=" << steps << " bt=" << bt;
+}
+
+template <typename V>
+void tiled_bitwise_sweep() {
+  constexpr index B = block_elems<V::width>;
+  const auto s5 = make_2d5p(0.43, 0.14, 0.13);
+  const auto s9 = make_2d9p(0.18, 0.12, 0.06);
+  const auto s7 = make_3d7p(0.41, 0.09, 0.1, 0.12);
+  // 2D: 5 x blocks over 2-block tiles (ragged x, 3 tiles), a single x tile,
+  // and narrow tiles (the smallest legal whole-block width) over 8 of them,
+  // whose uj2 level-1 windows are narrower than the row.
+  const index bxn = std::max<index>(B, 16);
+  for (index nx : {5 * B, 8 * bxn}) {
+    Grid2D<double> g(nx, 29, 1);
+    g.fill(f2);
+    for (const Blocks& blk : {Blocks{2 * B, 12}, Blocks{nx + B, 12},
+                              Blocks{bxn, 8}})
+      for (index steps : {7, 8}) {
+        const std::string what = "2d nx=" + std::to_string(nx) +
+                                 " bx=" + std::to_string(blk[0]) +
+                                 " by=" + std::to_string(blk[1]);
+        check_tiled_bitwise<V>(g, s5, steps, blk, 4, "2d5p " + what);
+        check_tiled_bitwise<V>(g, s9, steps, blk, 2, "2d9p " + what);
+      }
+  }
+  // 3D: ragged y and z tiles, over one and over two x tiles.
+  Grid3D<double> g(2 * B, 13, 19, 1);
+  g.fill(f3);
+  for (const Blocks& blk : {Blocks{B, 8, 8}, Blocks{2 * B, 6, 8}})
+    for (index steps : {5, 6})
+      check_tiled_bitwise<V>(g, s7, steps, blk, 2,
+                             "3d7p bx=" + std::to_string(blk[0]));
+}
+
+TEST(TiledBitwise, W2) { tiled_bitwise_sweep<Vec<double, 2>>(); }
+#if defined(__AVX2__)
+TEST(TiledBitwise, Avx2) { tiled_bitwise_sweep<Vec<double, 4>>(); }
+#endif
+#if defined(__AVX512F__)
+TEST(TiledBitwise, Avx512) { tiled_bitwise_sweep<Vec<double, 8>>(); }
 #endif
 
 // ---- engine schedule invariants -----------------------------------------------
