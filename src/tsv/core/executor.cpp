@@ -19,7 +19,7 @@ void execute_request(PlanCache& cache, const Shape& shape,
     std::shared_ptr<PlanCache::Entry> entry = cache.get(shape, spec, o);
     WorkspacePool::Lease ws = entry->workspaces().checkout();
     try {
-      std::visit([&](auto* g) { entry->plan().execute(*g, *ws, ctl); }, grid);
+      entry->plan().execute(grid, *ws, ctl);
       return;
     } catch (const KernelFault&) {
       // Graceful ISA degradation: kernel faults fire pre-mutation, so the
@@ -64,12 +64,7 @@ std::future<void> Executor::submit(Request req) {
   // Normalize on the submitting thread (cheap, deterministic): the grid is
   // the source of truth for the dtype, and the gang size caps the team.
   Options o = req.options;
-  std::visit(
-      [&o](auto* g) {
-        using G = std::remove_pointer_t<decltype(g)>;
-        o.dtype = dtype_of<typename detail::grid_value_t<G>>();
-      },
-      req.grid);
+  o.dtype = req.grid.dtype();
   // 0 means "unset" and becomes the gang cap; a positive cap is clamped to
   // the gang. Negative values pass through UNCHANGED so resolve_options
   // rejects them on the worker — the executor must surface the same
@@ -100,9 +95,8 @@ std::future<void> Executor::submit(Request req) {
           // never strand it.
           fault_point(FaultSite::kExecutorDispatch);
           ctl.check();
-          const Shape shape =
-              std::visit([](auto* g) { return shape_of(*g); }, grid);
-          detail::execute_request(cache_, shape, spec, o, grid, &ctl);
+          detail::execute_request(cache_, shape_of(grid), spec, o, grid,
+                                  &ctl);
           std::lock_guard<std::mutex> lock(mu_);
           ++completed_;
         } catch (...) {

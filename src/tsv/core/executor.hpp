@@ -45,7 +45,6 @@
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <variant>
 #include <vector>
 
 #include "tsv/common/timer.hpp"
@@ -96,9 +95,7 @@ inline double utilization(const ExecutorStats& s) {
 class Executor {
  public:
   /// Non-owning reference to a caller grid of any rank/dtype.
-  using GridRef =
-      std::variant<Grid1D<double>*, Grid2D<double>*, Grid3D<double>*,
-                   Grid1D<float>*, Grid2D<float>*, Grid3D<float>*>;
+  using GridRef = tsv::GridRef;
 
   /// One unit of work: advance `grid` by `options.steps` steps of
   /// `stencil`. `options.dtype` is overridden from the grid's element type
@@ -129,14 +126,12 @@ class Executor {
   std::future<void> submit(Request req);
 
   /// Convenience: submit one grid with a stencil spec / named kind.
-  template <typename G>
-  std::future<void> submit(G& g, const StencilSpec& spec,
+  std::future<void> submit(GridRef g, const StencilSpec& spec,
                            const Options& o = {}) {
-    return submit(Request{GridRef{&g}, spec, o});
+    return submit(Request{g, spec, o});
   }
-  template <typename G>
-  std::future<void> submit(G& g, StencilKind kind, const Options& o = {}) {
-    return submit(Request{GridRef{&g}, StencilSpec{.kind = kind}, o});
+  std::future<void> submit(GridRef g, StencilKind kind, const Options& o = {}) {
+    return submit(Request{g, StencilSpec{.kind = kind}, o});
   }
 
   /// Enqueues an arbitrary closure to run on a gang — the sharded plan's

@@ -65,48 +65,29 @@ void zero_row_segment(T* dst, index n) {
   std::memset(dst, 0, static_cast<std::size_t>(n) * sizeof(T));
 }
 
-/// x-axis fill for one unit-stride row, one side at a time: lo fills the
-/// ghost cells at [-r, 0), hi the ones at [nx, nx + r), around the interior
-/// [0, nx). Element loops, O(r). Split per face so the sharded execution
-/// path can fill exactly the physical face of a split axis.
-template <typename T>
-void fill_row_x_lo(T* row, index nx, int r, Boundary b) {
-  switch (b) {
-    case Boundary::kDirichlet:
-      break;
-    case Boundary::kZero:
-      for (int d = 1; d <= r; ++d) row[-d] = T(0);
-      break;
-    case Boundary::kPeriodic:
-      for (int d = 1; d <= r; ++d) row[-d] = row[nx - d];
-      break;
-    case Boundary::kNeumann:
-      for (int d = 1; d <= r; ++d) row[-d] = row[d - 1];
-      break;
-  }
-}
-
-template <typename T>
-void fill_row_x_hi(T* row, index nx, int r, Boundary b) {
-  switch (b) {
-    case Boundary::kDirichlet:
-      break;
-    case Boundary::kZero:
-      for (int d = 0; d < r; ++d) row[nx + d] = T(0);
-      break;
-    case Boundary::kPeriodic:
-      for (int d = 0; d < r; ++d) row[nx + d] = row[d];
-      break;
-    case Boundary::kNeumann:
-      for (int d = 0; d < r; ++d) row[nx + d] = row[nx - 1 - d];
-      break;
-  }
-}
-
+/// x-axis fill for one unit-stride row: the ghost cells at [-r, 0) and
+/// [nx, nx + r) around the interior [0, nx). Element loops, O(r).
 template <typename T>
 void fill_row_x(T* row, index nx, int r, Boundary b) {
-  fill_row_x_lo(row, nx, r, b);
-  fill_row_x_hi(row, nx, r, b);
+  switch (b) {
+    case Boundary::kDirichlet:
+      break;
+    case Boundary::kZero:
+      for (int d = 1; d <= r; ++d) row[-d] = row[nx - 1 + d] = T(0);
+      break;
+    case Boundary::kPeriodic:
+      for (int d = 1; d <= r; ++d) {
+        row[-d] = row[nx - d];
+        row[nx - 1 + d] = row[d - 1];
+      }
+      break;
+    case Boundary::kNeumann:
+      for (int d = 1; d <= r; ++d) {
+        row[-d] = row[d - 1];
+        row[nx - 1 + d] = row[nx - d];
+      }
+      break;
+  }
 }
 
 /// Source index (in the interior) a ghost layer at distance @p d outside a
@@ -117,6 +98,59 @@ inline index ghost_src_lo(index n, int d, Boundary b) {
 }
 inline index ghost_src_hi(index n, int d, Boundary b) {
   return b == Boundary::kPeriodic ? d - 1 : n - d;  // wrap : mirror
+}
+
+/// Pointer to the first cell of row (y, z) once coordinate @p c replaces
+/// the row's coordinate on @p axis (axis 0 moves along the row).
+template <typename G>
+auto* slab_row(G& g, int axis, index c, index y, index z) {
+  std::array<index, 3> p{0, y, z};
+  p[static_cast<std::size_t>(axis)] = c;
+  return g.row_at(p[1], p[2]) + p[0];
+}
+
+/// Calls fn(dst_cells, src_cells, n) for every contiguous run of slab
+/// @p c_dst of @p dst and slab @p c_src of @p src on @p axis. A slab is
+/// every cell at that axis coordinate whose lower axes span their r-deep
+/// extended range and whose higher axes span the interior: on x, one cell
+/// per interior row; on y or z, extended rows of nx + 2r cells. That is the
+/// unit the sequential x -> y -> z fill order moves, so a slab copied
+/// between two same-shaped grids carries its corner and edge ghosts along.
+template <typename G, typename Fn>
+void slab_walk(G& dst, index c_dst, const G& src, index c_src, int axis,
+               int r, Fn&& fn) {
+  Box<G::kRank> rows = interior_box(dst);
+  for (int a = 1; a < axis; ++a) {
+    rows.lo[a] = -r;
+    rows.hi[a] += r;
+  }
+  if (axis > 0) rows.hi[axis] = 1;  // the axis coordinate comes from c
+  const index x = axis == 0 ? 0 : -r;
+  const index n = axis == 0 ? 1 : dst.nx() + 2 * r;
+  for_each_row(rows, [&](index y, index z) {
+    fn(slab_row(dst, axis, c_dst, y, z) + x,
+       slab_row(src, axis, c_src, y, z) + x, n);
+  });
+}
+
+/// Fills the r-deep ghost strip outside the low (high=false) or high face
+/// of @p axis per boundary @p b: zeros, or the wrap/mirror slabs of the
+/// interior. kDirichlet is a no-op.
+template <typename G>
+void fill_face(G& g, int axis, Boundary b, int r, bool high) {
+  if (b == Boundary::kDirichlet) return;
+  const index n = g.extents()[static_cast<std::size_t>(axis)];
+  for (int d = 1; d <= r; ++d) {
+    const index dst = high ? n - 1 + d : -d;
+    const index src = high ? ghost_src_hi(n, d, b) : ghost_src_lo(n, d, b);
+    slab_walk(g, dst, g, src, axis, r,
+              [&](auto* to, const auto* from, index k) {
+                if (b == Boundary::kZero)
+                  zero_row_segment(to, k);
+                else
+                  copy_row_segment(to, from, k);
+              });
+  }
 }
 
 }  // namespace detail
@@ -130,101 +164,27 @@ inline index ghost_src_hi(index n, int d, Boundary b) {
 /// uses this for the PHYSICAL faces of its split axis; internal shard faces
 /// are neighbor-interior copies instead (periodic wraps ride the same ring
 /// exchange, so they never come through here).
-template <typename T>
-void fill_ghost_face(Grid1D<T>& g, Boundary b, int radius, bool high) {
-  if (high)
-    detail::fill_row_x_hi(g.x0(), g.nx(), radius, b);
-  else
-    detail::fill_row_x_lo(g.x0(), g.nx(), radius, b);
-}
-
-template <typename T>
-void fill_ghost_face(Grid2D<T>& g, Boundary b, int radius, bool high) {
-  if (b == Boundary::kDirichlet) return;
-  const index ny = g.ny();
-  const int r = radius;
-  const index w = g.nx() + 2 * r;
-  for (int d = 1; d <= r; ++d) {
-    T* dst = (high ? g.row(ny - 1 + d) : g.row(-d)) - r;
-    if (b == Boundary::kZero) {
-      detail::zero_row_segment(dst, w);
-      continue;
-    }
-    const index src = high ? detail::ghost_src_hi(ny, d, b)
-                           : detail::ghost_src_lo(ny, d, b);
-    detail::copy_row_segment(dst, g.row(src) - r, w);
-  }
-}
-
-template <typename T>
-void fill_ghost_face(Grid3D<T>& g, Boundary b, int radius, bool high) {
-  if (b == Boundary::kDirichlet) return;
-  const index ny = g.ny(), nz = g.nz();
-  const int r = radius;
-  const index w = g.nx() + 2 * r;
-  for (int d = 1; d <= r; ++d)
-    for (index y = -r; y < ny + r; ++y) {
-      T* dst = (high ? g.row(y, nz - 1 + d) : g.row(y, -d)) - r;
-      if (b == Boundary::kZero) {
-        detail::zero_row_segment(dst, w);
-        continue;
-      }
-      const index src = high ? detail::ghost_src_hi(nz, d, b)
-                             : detail::ghost_src_lo(nz, d, b);
-      detail::copy_row_segment(dst, g.row(y, src) - r, w);
-    }
+template <typename T, int D>
+void fill_ghost_face(Grid<T, D>& g, Boundary b, int radius, bool high) {
+  detail::fill_face(g, D - 1, b, radius, high);
 }
 
 /// Fills the radius-@p radius ghost rim of @p g according to @p bc (see the
 /// header comment for semantics and corner handling). kDirichlet axes are
 /// left untouched. The grid's halo must be >= radius (plan-validated).
-template <typename T>
-void fill_ghosts(Grid1D<T>& g, const BoundarySpec& bc, int radius) {
-  detail::fill_row_x(g.x0(), g.nx(), radius, bc.x);
-}
-
-template <typename T>
-void fill_ghosts(Grid2D<T>& g, const BoundarySpec& bc, int radius) {
-  const index nx = g.nx(), ny = g.ny();
-  const int r = radius;
+template <typename T, int D>
+void fill_ghosts(Grid<T, D>& g, const BoundarySpec& bc, int radius) {
   if (bc.x != Boundary::kDirichlet)
-    for (index y = 0; y < ny; ++y) detail::fill_row_x(g.row(y), nx, r, bc.x);
-  // Ghost rows copy the whole extended row [-r, nx + r) so corners inherit
-  // the x fill of their source row (fill_ghost_face implements the copies).
-  fill_ghost_face(g, bc.y, r, /*high=*/false);
-  fill_ghost_face(g, bc.y, r, /*high=*/true);
-}
-
-template <typename T>
-void fill_ghosts(Grid3D<T>& g, const BoundarySpec& bc, int radius) {
-  const index nx = g.nx(), ny = g.ny(), nz = g.nz();
-  const int r = radius;
-  if (bc.x != Boundary::kDirichlet)
-    for (index z = 0; z < nz; ++z)
-      for (index y = 0; y < ny; ++y)
-        detail::fill_row_x(g.row(y, z), nx, r, bc.x);
-  const index w = nx + 2 * r;
-  if (bc.y != Boundary::kDirichlet) {
-    for (index z = 0; z < nz; ++z)
-      for (int d = 1; d <= r; ++d) {
-        if (bc.y == Boundary::kZero) {
-          detail::zero_row_segment(g.row(-d, z) - r, w);
-          detail::zero_row_segment(g.row(ny - 1 + d, z) - r, w);
-          continue;
-        }
-        detail::copy_row_segment(
-            g.row(-d, z) - r, g.row(detail::ghost_src_lo(ny, d, bc.y), z) - r,
-            w);
-        detail::copy_row_segment(
-            g.row(ny - 1 + d, z) - r,
-            g.row(detail::ghost_src_hi(ny, d, bc.y), z) - r, w);
-      }
+    for_each_row(interior_box(g), [&](index y, index z) {
+      detail::fill_row_x(g.row_at(y, z), g.nx(), radius, bc.x);
+    });
+  // Ghost rows/planes copy whole extended rows [-r, nx + r) (and, for z,
+  // every extended row of the plane), so corners and edges inherit the
+  // fills of the lower axes.
+  for (int a = 1; a < D; ++a) {
+    detail::fill_face(g, a, bc.at(a), radius, /*high=*/false);
+    detail::fill_face(g, a, bc.at(a), radius, /*high=*/true);
   }
-  // Ghost planes copy whole extended planes (rows [-r, ny + r), each row
-  // extended by the x rim) so edges and corners inherit the x and y fills
-  // (fill_ghost_face implements the copies).
-  fill_ghost_face(g, bc.z, r, /*high=*/false);
-  fill_ghost_face(g, bc.z, r, /*high=*/true);
 }
 
 }  // namespace tsv

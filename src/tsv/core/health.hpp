@@ -79,65 +79,36 @@ inline index first_non_finite(const T* p, index n) {
 
 /// Scans @p g's interior per @p mode; throws NumericalError carrying the
 /// linear interior index (x, x + nx*y, x + nx*(y + ny*z)) of the first
-/// non-finite cell. kOff returns immediately.
-template <typename T>
-void health_scan(const Grid1D<T>& g, HealthCheck mode) {
+/// non-finite cell — the lowest such index, since rows are visited in
+/// storage order. kOff returns immediately.
+template <typename T, int D>
+void health_scan(const Grid<T, D>& g, HealthCheck mode) {
   if (mode == HealthCheck::kOff) return;
-  if (mode == HealthCheck::kBoundary) {
-    // 1D "ring": the two edge cells.
-    if (!detail::is_finite_value(g.at(0))) detail::throw_numerical_error(0);
-    if (!detail::is_finite_value(g.at(g.nx() - 1)))
-      detail::throw_numerical_error(g.nx() - 1);
-    return;
-  }
-  const index i = detail::first_non_finite(&g.at(0), g.nx());
-  if (i >= 0) detail::throw_numerical_error(i);
-}
-
-template <typename T>
-void health_scan(const Grid2D<T>& g, HealthCheck mode) {
-  if (mode == HealthCheck::kOff) return;
-  const index nx = g.nx(), ny = g.ny();
-  auto scan_row = [&](index y, index x0, index n) {
-    const index i = detail::first_non_finite(&g.at(x0, y), n);
-    if (i >= 0) detail::throw_numerical_error(x0 + i + nx * y);
-  };
-  if (mode == HealthCheck::kBoundary) {
-    scan_row(0, 0, nx);
-    if (ny > 1) scan_row(ny - 1, 0, nx);
-    for (index y = 1; y < ny - 1; ++y) {
-      scan_row(y, 0, 1);
-      if (nx > 1) scan_row(y, nx - 1, 1);
-    }
-    return;
-  }
-  for (index y = 0; y < ny; ++y) scan_row(y, 0, nx);
-}
-
-template <typename T>
-void health_scan(const Grid3D<T>& g, HealthCheck mode) {
-  if (mode == HealthCheck::kOff) return;
-  const index nx = g.nx(), ny = g.ny(), nz = g.nz();
-  auto scan_row = [&](index y, index z, index x0, index n) {
-    const index i = detail::first_non_finite(&g.at(x0, y, z), n);
+  const auto& n = g.extents();
+  const index nx = n[0];
+  index ny = 1;
+  if constexpr (D >= 2) ny = n[1];
+  auto scan = [&](index y, index z, index x0, index len) {
+    const index i = detail::first_non_finite(g.row_at(y, z) + x0, len);
     if (i >= 0) detail::throw_numerical_error(x0 + i + nx * (y + ny * z));
   };
-  if (mode == HealthCheck::kBoundary) {
-    for (index z = 0; z < nz; ++z) {
-      const bool face_z = z == 0 || z == nz - 1;
-      for (index y = 0; y < ny; ++y) {
-        if (face_z || y == 0 || y == ny - 1) {
-          scan_row(y, z, 0, nx);
-        } else {
-          scan_row(y, z, 0, 1);
-          if (nx > 1) scan_row(y, z, nx - 1, 1);
-        }
-      }
+  for_each_row(interior_box(g), [&](index y, index z) {
+    // The boundary ring: every cell of a row on an outer face (y or z at
+    // its first or last slab), the two end cells of every other row. A 1D
+    // grid has no outer faces, so its ring is its two edge cells.
+    bool whole_row = mode == HealthCheck::kFull;
+    for (int a = 1; a < D; ++a) {
+      const index c = a == 1 ? y : z;
+      whole_row =
+          whole_row || c == 0 || c == n[static_cast<std::size_t>(a)] - 1;
     }
-    return;
-  }
-  for (index z = 0; z < nz; ++z)
-    for (index y = 0; y < ny; ++y) scan_row(y, z, 0, nx);
+    if (whole_row) {
+      scan(y, z, 0, nx);
+    } else {
+      scan(y, z, 0, 1);
+      if (nx > 1) scan(y, z, nx - 1, 1);
+    }
+  });
 }
 
 }  // namespace tsv

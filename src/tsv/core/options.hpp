@@ -83,6 +83,10 @@ struct BoundarySpec {
   /// The same condition on every axis.
   static BoundarySpec uniform(Boundary b) { return {b, b, b}; }
 
+  /// The condition on axis @p a (0 = x, 1 = y, 2 = z).
+  Boundary at(int a) const { return a == 0 ? x : a == 1 ? y : z; }
+  Boundary& at(int a) { return a == 0 ? x : a == 1 ? y : z; }
+
   friend bool operator==(const BoundarySpec&, const BoundarySpec&) = default;
 };
 

@@ -67,17 +67,16 @@ inline Shape shape3d(index nx, index ny, index nz, index halo = 1) {
   return {.rank = 3, .nx = nx, .ny = ny, .nz = nz, .halo = halo};
 }
 
-template <typename T>
-Shape shape_of(const Grid1D<T>& g) {
-  return shape1d(g.nx(), g.halo());
+inline Shape shape_of(const GridRef& g) {
+  return {.rank = g.rank(), .nx = g.nx(), .ny = g.ny(), .nz = g.nz(),
+          .halo = g.halo()};
 }
-template <typename T>
-Shape shape_of(const Grid2D<T>& g) {
-  return shape2d(g.nx(), g.ny(), g.halo());
-}
-template <typename T>
-Shape shape_of(const Grid3D<T>& g) {
-  return shape3d(g.nx(), g.ny(), g.nz(), g.halo());
+template <typename T, int D>
+Shape shape_of(const Grid<T, D>& g) {
+  Shape s{.rank = D, .nx = g.nx(), .ny = 1, .nz = 1, .halo = g.halo()};
+  if constexpr (D >= 2) s.ny = g.ny();
+  if constexpr (D >= 3) s.nz = g.nz();
+  return s;
 }
 
 /// Fully resolved execution parameters: every field is concrete (no kAuto,
@@ -143,7 +142,7 @@ template <typename G>
 inline constexpr int grid_rank = G::kRank;
 
 template <typename S>
-using grid_for_t = GridOf<S::dim, typename S::value_type>;
+using grid_for_t = Grid<typename S::value_type, S::dim>;
 
 template <typename G>
 using grid_value_t = typename G::value_type;
@@ -435,11 +434,11 @@ class TypedPlan {
 };
 
 template <int R, typename T = double>
-using Plan1D = TypedPlan<Grid1D<T>, Stencil1D<R, T>>;
+using Plan1D = TypedPlan<Grid<T, 1>, Stencil1D<R, T>>;
 template <int R, int NR, typename T = double>
-using Plan2D = TypedPlan<Grid2D<T>, Stencil2D<R, NR, T>>;
+using Plan2D = TypedPlan<Grid<T, 2>, Stencil2D<R, NR, T>>;
 template <int R, int NR, typename T = double>
-using Plan3D = TypedPlan<Grid3D<T>, Stencil3D<R, NR, T>>;
+using Plan3D = TypedPlan<Grid<T, 3>, Stencil3D<R, NR, T>>;
 
 // ---------------------------------------------------------------------------
 // Plan-time autotuning (Options::tune; see core/tuner.hpp).
@@ -452,28 +451,16 @@ namespace detail {
 /// the user's grid anyway).
 template <typename G>
 G make_trial_grid(const Shape& shape) {
-  using T = grid_value_t<G>;
-  if constexpr (grid_rank<G> == 1) {
-    G g(shape.nx, shape.halo);
-    g.fill([](index x) {
-      return static_cast<T>(0.25 + 1e-4 * static_cast<double>(x % 97));
-    });
-    return g;
-  } else if constexpr (grid_rank<G> == 2) {
-    G g(shape.nx, shape.ny, shape.halo);
-    g.fill([](index x, index y) {
-      return static_cast<T>(0.25 +
-                            1e-4 * static_cast<double>((x + 3 * y) % 97));
-    });
-    return g;
-  } else {
-    G g(shape.nx, shape.ny, shape.nz, shape.halo);
-    g.fill([](index x, index y, index z) {
-      return static_cast<T>(
-          0.25 + 1e-4 * static_cast<double>((x + 3 * y + 7 * z) % 97));
-    });
-    return g;
-  }
+  std::array<index, grid_rank<G>> n;
+  std::copy_n(std::array{shape.nx, shape.ny, shape.nz}.begin(), n.size(),
+              n.begin());
+  G g(n, shape.halo);
+  g.fill([](auto... c) {
+    const index p[] = {c..., 0, 0};  // x, y, z; axes beyond the rank are 0
+    return static_cast<grid_value_t<G>>(
+        0.25 + 1e-4 * static_cast<double>((p[0] + 3 * p[1] + 7 * p[2]) % 97));
+  });
+  return g;
 }
 
 /// Resolves bx/by/bz/bt empirically: candidate blockings (cache-topology
@@ -705,7 +692,7 @@ class ShardedPlan {
     bc_ = o.boundary;
     if (rank < 2) bc_.y = Boundary::kDirichlet;
     if (rank < 3) bc_.z = Boundary::kDirichlet;
-    const Boundary split_b = rank == 1 ? bc_.x : rank == 2 ? bc_.y : bc_.z;
+    const Boundary split_b = bc_.at(rank - 1);
     if (const Capability* cap = find_capability(o.method, o.tiling);
         cap != nullptr && !cap->supports_boundary(split_b))
       fail(std::string("not implemented for boundary ") +
@@ -714,8 +701,7 @@ class ShardedPlan {
     Options oi = o;
     oi.steps = 1;  // the sharded plan owns the step loop
     oi.boundary = bc_;
-    (rank == 1 ? oi.boundary.x : rank == 2 ? oi.boundary.y : oi.boundary.z) =
-        Boundary::kDirichlet;
+    oi.boundary.at(rank - 1) = Boundary::kDirichlet;
     if (spec.threads_per_shard > 0)
       oi.max_threads = o.max_threads > 0
                            ? std::min(o.max_threads, spec.threads_per_shard)
@@ -826,47 +812,22 @@ ShardedPlan<detail::grid_for_t<S>, S> make_sharded_plan(
 
 /// Rank-erased plan for runtime stencil kinds (CLI / bench / service use).
 /// Holds a TypedPlan for one of the named Table-1 stencils in the dtype the
-/// Options selected; execute() on the wrong grid rank — or on a grid whose
-/// element type differs from the planned dtype — throws ConfigError.
+/// Options selected, behind one closure over GridRef; execute() on a grid
+/// of the wrong rank — or whose element type differs from the planned
+/// dtype — throws ConfigError.
 ///
 /// Concurrency follows TypedPlan's rule: the one-argument execute() goes
 /// through the shared plan-owned workspace (single execution stream only);
-/// the (grid, workspace) overloads are safe from any number of threads as
+/// the (grid, workspace) overload is safe from any number of threads as
 /// long as each in-flight call brings its own grid and workspace.
 class Plan {
  public:
-  void execute(Grid1D<double>& g) const { dispatch(f1_, g, nullptr, nullptr); }
-  void execute(Grid2D<double>& g) const { dispatch(f2_, g, nullptr, nullptr); }
-  void execute(Grid3D<double>& g) const { dispatch(f3_, g, nullptr, nullptr); }
-  void execute(Grid1D<float>& g) const { dispatch(f1f_, g, nullptr, nullptr); }
-  void execute(Grid2D<float>& g) const { dispatch(f2f_, g, nullptr, nullptr); }
-  void execute(Grid3D<float>& g) const { dispatch(f3f_, g, nullptr, nullptr); }
-
-  /// The @p ctl overloads thread an ExecControl (cancel/timeout polling)
+  void execute(GridRef g) const { call(g, nullptr, nullptr); }
+  /// The @p ctl overload threads an ExecControl (cancel/timeout polling)
   /// down to TypedPlan::execute; see its documentation.
-  void execute(Grid1D<double>& g, Workspace& ws,
+  void execute(GridRef g, Workspace& ws,
                const ExecControl* ctl = nullptr) const {
-    dispatch(f1_, g, &ws, ctl);
-  }
-  void execute(Grid2D<double>& g, Workspace& ws,
-               const ExecControl* ctl = nullptr) const {
-    dispatch(f2_, g, &ws, ctl);
-  }
-  void execute(Grid3D<double>& g, Workspace& ws,
-               const ExecControl* ctl = nullptr) const {
-    dispatch(f3_, g, &ws, ctl);
-  }
-  void execute(Grid1D<float>& g, Workspace& ws,
-               const ExecControl* ctl = nullptr) const {
-    dispatch(f1f_, g, &ws, ctl);
-  }
-  void execute(Grid2D<float>& g, Workspace& ws,
-               const ExecControl* ctl = nullptr) const {
-    dispatch(f2f_, g, &ws, ctl);
-  }
-  void execute(Grid3D<float>& g, Workspace& ws,
-               const ExecControl* ctl = nullptr) const {
-    dispatch(f3f_, g, &ws, ctl);
+    call(g, &ws, ctl);
   }
 
   int rank() const { return shape_.rank; }
@@ -881,47 +842,39 @@ class Plan {
   friend Plan make_plan(const Shape& shape, const GenericStencil& gs,
                         const Options& o);
 
-  /// Builds the typed plan for @p stencil and stores its execute closure in
-  /// the rank/dtype slot it belongs to — the one lowering step every
-  /// rank-erased binder (kind, spec, generic) shares. Private; reachable
-  /// only through the friended make_plan overloads.
+  using Fn = std::function<void(GridRef, Workspace*, const ExecControl*)>;
+
+  /// Builds the typed plan for @p stencil and stores its execute closure —
+  /// the one lowering step every rank-erased binder (kind, spec, generic)
+  /// shares. The closure is the only place a GridRef is cast back to its
+  /// typed grid. Private; reachable only through the friended make_plan
+  /// overloads.
   template <typename S>
   static void bind_typed(Plan& p, const Shape& shape, const S& stencil,
                          const Options& o) {
     auto typed = make_plan(shape, stencil, o);
     p.cfg_ = typed.config();
     using G = detail::grid_for_t<S>;
-    constexpr bool f32 = std::is_same_v<typename S::value_type, float>;
-    auto fn = [typed = std::move(typed)](G& g, Workspace* ws,
-                                         const ExecControl* ctl) {
-      ws != nullptr ? typed.execute(g, *ws, ctl) : typed.execute(g);
+    p.fn_ = [typed = std::move(typed)](GridRef ref, Workspace* ws,
+                                       const ExecControl* ctl) {
+      G* g = ref.get<G>();
+      if (g == nullptr) throw_mismatch(typed.config(), ref.rank());
+      ws != nullptr ? typed.execute(*g, *ws, ctl) : typed.execute(*g);
     };
-    if constexpr (detail::grid_rank<G> == 1) {
-      if constexpr (f32) p.f1f_ = std::move(fn);
-      else p.f1_ = std::move(fn);
-    } else if constexpr (detail::grid_rank<G> == 2) {
-      if constexpr (f32) p.f2f_ = std::move(fn);
-      else p.f2_ = std::move(fn);
-    } else {
-      if constexpr (f32) p.f3f_ = std::move(fn);
-      else p.f3_ = std::move(fn);
-    }
   }
 
-  template <typename F, typename G>
-  void dispatch(const F& f, G& g, Workspace* ws, const ExecControl* ctl) const {
-    if (!f)
-      throw ConfigError(cfg_.method, cfg_.tiling, detail::grid_rank<G>,
-                        "plan was built for a different grid rank or dtype");
-    f(g, ws, ctl);
+  [[noreturn]] static void throw_mismatch(const ResolvedOptions& cfg,
+                                          int rank) {
+    throw ConfigError(cfg.method, cfg.tiling, rank,
+                      "plan was built for a different grid rank or dtype");
   }
 
-  std::function<void(Grid1D<double>&, Workspace*, const ExecControl*)> f1_;
-  std::function<void(Grid2D<double>&, Workspace*, const ExecControl*)> f2_;
-  std::function<void(Grid3D<double>&, Workspace*, const ExecControl*)> f3_;
-  std::function<void(Grid1D<float>&, Workspace*, const ExecControl*)> f1f_;
-  std::function<void(Grid2D<float>&, Workspace*, const ExecControl*)> f2f_;
-  std::function<void(Grid3D<float>&, Workspace*, const ExecControl*)> f3f_;
+  void call(GridRef g, Workspace* ws, const ExecControl* ctl) const {
+    if (!fn_) throw_mismatch(cfg_, g.rank());
+    fn_(g, ws, ctl);
+  }
+
+  Fn fn_;
   Shape shape_;
   ResolvedOptions cfg_;
 };

@@ -29,18 +29,9 @@ namespace tsv {
 /// layout-divisibility violations. The element type follows the
 /// grid/stencil pair (double by default, float for Grid1D<float> +
 /// make_1d3p<float>() and friends).
-template <int R, typename T>
-void run(Grid1D<T>& g, const Stencil1D<R, T>& s, const Options& o) {
-  make_plan(shape_of(g), s, o).execute(g);
-}
-
-template <int R, int NR, typename T>
-void run(Grid2D<T>& g, const Stencil2D<R, NR, T>& s, const Options& o) {
-  make_plan(shape_of(g), s, o).execute(g);
-}
-
-template <int R, int NR, typename T>
-void run(Grid3D<T>& g, const Stencil3D<R, NR, T>& s, const Options& o) {
+template <typename T, int D, typename S>
+  requires(S::dim == D && std::is_same_v<typename S::value_type, T>)
+void run(Grid<T, D>& g, const S& s, const Options& o) {
   make_plan(shape_of(g), s, o).execute(g);
 }
 

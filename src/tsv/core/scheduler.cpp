@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <optional>
 #include <thread>
 #include <tuple>
 #include <utility>
-#include <variant>
 
 namespace tsv {
 
@@ -47,125 +45,75 @@ ErrKind err_kind(const std::exception_ptr& e) noexcept {
   }
 }
 
-// ---- grid content digest / fan-out copy -----------------------------------
+// ---- grid content: digest, compare, fan-out copy, retry snapshot ----------
 //
 // Coalescing identity must cover the INPUT DATA, not just the configuration:
 // two requests with equal (spec, shape, options) but different grid contents
-// produce different results and must never share one execution. The digest
-// is FNV-1a over every logical cell including the halo (Dirichlet halos are
-// inputs too); lead-padding bytes outside the halo are skipped, so two grids
-// that are cell-for-cell equal hash equal regardless of allocator noise.
-// The cost is one O(n) read per submission — the price of content
-// addressing, paid on the submitter's thread, never on a gang.
+// produce different results and must never share one execution. A grid's
+// content is every logical cell including the halo (Dirichlet halos are
+// inputs too), walked row by row as bytes through GridRef; lead-padding
+// bytes outside the halo are skipped, so two grids that are cell-for-cell
+// equal hash and compare equal regardless of allocator noise. The FNV-1a
+// digest only finds a candidate group: a join also needs a byte compare
+// against the leader's grid, so a 64-bit collision cannot hand a follower
+// another grid's result.
 
-std::uint64_t fnv1a(std::uint64_t h, const void* p, std::size_t bytes) {
-  const unsigned char* c = static_cast<const unsigned char*>(p);
+std::uint64_t fnv1a(std::uint64_t h, const std::byte* p, std::size_t bytes) {
   for (std::size_t i = 0; i < bytes; ++i) {
-    h ^= c[i];
+    h ^= static_cast<unsigned char>(p[i]);
     h *= 1099511628211ull;
   }
   return h;
 }
 
-template <typename T>
-std::uint64_t content_digest(const Grid1D<T>& g) {
-  const index h = g.halo();
-  return fnv1a(1469598103934665603ull, &g.at(-h),
-               static_cast<std::size_t>(g.nx() + 2 * h) * sizeof(T));
-}
-
-template <typename T>
-std::uint64_t content_digest(const Grid2D<T>& g) {
-  const index h = g.halo();
-  const std::size_t row_bytes =
-      static_cast<std::size_t>(g.nx() + 2 * h) * sizeof(T);
+std::uint64_t content_digest(const GridRef& g) {
   std::uint64_t d = 1469598103934665603ull;
-  for (index y = -h; y < g.ny() + h; ++y) d = fnv1a(d, g.row(y) - h, row_bytes);
+  g.for_each_row(
+      [&](index y, index z) { d = fnv1a(d, g.row(y, z), g.row_bytes()); });
   return d;
 }
 
-template <typename T>
-std::uint64_t content_digest(const Grid3D<T>& g) {
-  const index h = g.halo();
-  const std::size_t row_bytes =
-      static_cast<std::size_t>(g.nx() + 2 * h) * sizeof(T);
-  std::uint64_t d = 1469598103934665603ull;
-  for (index z = -h; z < g.nz() + h; ++z)
-    for (index y = -h; y < g.ny() + h; ++y)
-      d = fnv1a(d, g.row(y, z) - h, row_bytes);
-  return d;
+/// Cell-for-cell equality of two grids' interior + halo rows.
+bool same_content(const GridRef& a, const GridRef& b) {
+  if (!same_geometry(a, b)) return false;
+  bool same = true;
+  a.for_each_row([&](index y, index z) {
+    same = same && std::memcmp(a.row(y, z), b.row(y, z), a.row_bytes()) == 0;
+  });
+  return same;
 }
 
-std::uint64_t content_digest(const Scheduler::GridRef& ref) {
-  return std::visit([](auto* g) { return content_digest(*g); }, ref);
+/// Fans a leader's finished grid out to a follower. Same geometry by
+/// construction: the coalesce key contains shape and dtype, so a mismatch is
+/// a scheduler bug, not a user error.
+void copy_content(const GridRef& dst, const GridRef& src) {
+  require(same_geometry(dst, src),
+          "Scheduler: coalesced grids of different geometry");
+  dst.for_each_row([&](index y, index z) {
+    std::memcpy(dst.row(y, z), src.row(y, z), dst.row_bytes());
+  });
 }
 
-template <typename T>
-void copy_content(Grid1D<T>& dst, const Grid1D<T>& src) {
-  const index h = dst.halo();
-  std::memcpy(&dst.at(-h), &src.at(-h),
-              static_cast<std::size_t>(dst.nx() + 2 * h) * sizeof(T));
+// Retry snapshot: the group's input rows (interior + halo), taken before
+// the first attempt and copied back before each re-execution. Every fault
+// point fires pre-mutation, so for INJECTED faults the restore is a no-op
+// by construction — the snapshot is what makes the retry guarantee hold for
+// real faults too (a bad_alloc or partial failure mid-execution leaves
+// whatever state it leaves; the restore erases it).
+std::vector<std::byte> snapshot_content(const GridRef& g) {
+  std::vector<std::byte> snap;
+  g.for_each_row([&](index y, index z) {
+    snap.insert(snap.end(), g.row(y, z), g.row(y, z) + g.row_bytes());
+  });
+  return snap;
 }
 
-template <typename T>
-void copy_content(Grid2D<T>& dst, const Grid2D<T>& src) {
-  const index h = dst.halo();
-  const std::size_t row_bytes =
-      static_cast<std::size_t>(dst.nx() + 2 * h) * sizeof(T);
-  for (index y = -h; y < dst.ny() + h; ++y)
-    std::memcpy(dst.row(y) - h, src.row(y) - h, row_bytes);
-}
-
-template <typename T>
-void copy_content(Grid3D<T>& dst, const Grid3D<T>& src) {
-  const index h = dst.halo();
-  const std::size_t row_bytes =
-      static_cast<std::size_t>(dst.nx() + 2 * h) * sizeof(T);
-  for (index z = -h; z < dst.nz() + h; ++z)
-    for (index y = -h; y < dst.ny() + h; ++y)
-      std::memcpy(dst.row(y, z) - h, src.row(y, z) - h, row_bytes);
-}
-
-/// Fans a leader's finished grid out to a follower. Same variant
-/// alternative by construction: the coalesce key contains rank and dtype,
-/// so a mismatch is a scheduler bug, not a user error.
-void copy_content(Scheduler::GridRef dst, const Scheduler::GridRef& src) {
-  std::visit(
-      [](auto* d, auto* s) {
-        if constexpr (std::is_same_v<decltype(d), decltype(s)>) {
-          copy_content(*d, *s);
-        } else {
-          require(false, "Scheduler: coalesced grids of different type");
-        }
-      },
-      dst, src);
-}
-
-// Retry snapshot: an owned deep copy of the group's input grid, taken
-// before the first attempt and copied back before each re-execution. Every
-// fault point fires pre-mutation, so for INJECTED faults the restore is a
-// no-op by construction — the snapshot is what makes the retry guarantee
-// hold for real faults too (a bad_alloc or partial failure mid-execution
-// leaves whatever state it leaves; the restore erases it).
-using GridCopy =
-    std::variant<Grid1D<double>, Grid2D<double>, Grid3D<double>,
-                 Grid1D<float>, Grid2D<float>, Grid3D<float>>;
-
-GridCopy snapshot_content(const Scheduler::GridRef& src) {
-  return std::visit([](auto* g) { return GridCopy{*g}; }, src);
-}
-
-void restore_content(Scheduler::GridRef dst, const GridCopy& src) {
-  std::visit(
-      [](auto* d, const auto& s) {
-        if constexpr (std::is_same_v<std::remove_pointer_t<decltype(d)>,
-                                     std::decay_t<decltype(s)>>) {
-          copy_content(*d, s);
-        } else {
-          require(false, "Scheduler: snapshot/grid type mismatch");
-        }
-      },
-      dst, src);
+void restore_content(const GridRef& g, const std::vector<std::byte>& snap) {
+  const std::byte* p = snap.data();
+  g.for_each_row([&](index y, index z) {
+    std::memcpy(g.row(y, z), p, g.row_bytes());
+    p += g.row_bytes();
+  });
 }
 
 }  // namespace
@@ -290,18 +238,17 @@ std::future<Scheduler::Result> Scheduler::submit(Request req) {
   // truth for the dtype, and the gang size caps the team (negative caps
   // pass through so resolve_options rejects them on the worker).
   Options o = req.options;
-  std::visit(
-      [&o](auto* g) {
-        using G = std::remove_pointer_t<decltype(g)>;
-        o.dtype = dtype_of<typename detail::grid_value_t<G>>();
-      },
-      req.grid);
+  o.dtype = req.grid.dtype();
   if (o.max_threads == 0)
     o.max_threads = ex_.threads_per_gang();
   else if (o.max_threads > 0)
     o.max_threads = std::min(o.max_threads, ex_.threads_per_gang());
 
-  const Shape shape = std::visit([](auto* g) { return shape_of(*g); }, req.grid);
+  const Shape shape = shape_of(req.grid);
+  // The digest is an O(n) read of the caller's grid, which the caller owns
+  // until the future resolves: computed here, outside mu_, so concurrent
+  // submitters do not serialize on it.
+  const std::uint64_t digest = cfg_.coalesce ? content_digest(req.grid) : 0;
 
   Member m;
   m.admitted = now;
@@ -329,16 +276,16 @@ std::future<Scheduler::Result> Scheduler::submit(Request req) {
       ++stats_.rejected;
       reject_msg = "tsv::Scheduler: shutting down";
     } else {
-      std::pair<PlanKey, std::uint64_t> key{
-          PlanKey::make(shape, req.stencil, o), 0};
-      if (cfg_.coalesce) {
-        // The digest read races nothing: the caller owns the grid until the
-        // future resolves, and no queued leader with the same key has been
-        // dispatched yet (dispatch closes the group).
-        key.second = content_digest(req.grid);
-        auto it = open_.find(key);
-        if (it != open_.end()) {
-          Group& g = *it->second;
+      const std::pair<PlanKey, std::uint64_t> key{
+          PlanKey::make(shape, req.stencil, o), digest};
+      bool joinable = cfg_.coalesce;
+      if (auto it = open_.find(key); joinable && it != open_.end()) {
+        // A digest match only nominates the open group: the join also needs
+        // the leader's grid to equal this one byte for byte. The leader's
+        // grid is stable here — its group is still queued (dispatch closes
+        // the group under mu_).
+        Group& g = *it->second;
+        if (same_content(g.members.front().grid, req.grid)) {
           m.follower = true;
           g.cls = std::min(g.cls, req.cls);
           g.deadline = std::min(g.deadline, m.deadline);
@@ -347,6 +294,9 @@ std::future<Scheduler::Result> Scheduler::submit(Request req) {
           ++stats_.coalesced;
           return fut;  // no queue slot consumed: the work already exists
         }
+        // A digest collision: run as a group of its own, not registered
+        // for joins, so the open group keeps its key.
+        joinable = false;
       }
 
       if (queue_.size() >= cfg_.queue_capacity) {
@@ -369,7 +319,7 @@ std::future<Scheduler::Result> Scheduler::submit(Request req) {
         if (best < queue_.size()) {
           victim = queue_[best];
           queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(best));
-          if (cfg_.coalesce) open_.erase(victim->key);
+          close_locked(victim);
           stats_.shed += victim->members.size();
         } else {
           ++stats_.rejected;
@@ -388,7 +338,7 @@ std::future<Scheduler::Result> Scheduler::submit(Request req) {
         g->seq = seq_++;
         g->tenant = std::move(req.tenant);
         g->members.push_back(std::move(m));
-        if (cfg_.coalesce) open_.emplace(g->key, g);
+        if (joinable) open_.emplace(g->key, g);
         queue_.push_back(std::move(g));
         ++stats_.admitted;
         dispatch_locked(lock);
@@ -444,7 +394,7 @@ void Scheduler::dispatch_locked(std::unique_lock<std::mutex>& lock) {
 
     std::shared_ptr<Group> g = queue_[best];
     queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(best));
-    if (cfg_.coalesce) open_.erase(g->key);  // group closed: input in use
+    close_locked(g);  // group closed: input in use
     g->dispatch_seq = dispatch_seq_++;
     g->dispatched = Clock::now();
 
@@ -467,6 +417,11 @@ void Scheduler::dispatch_locked(std::unique_lock<std::mutex>& lock) {
     stats_.peak_tenant_inflight =
         std::max(stats_.peak_tenant_inflight, static_cast<std::size_t>(t));
   }
+}
+
+void Scheduler::close_locked(const std::shared_ptr<Group>& g) {
+  auto it = open_.find(g->key);
+  if (it != open_.end() && it->second == g) open_.erase(it);
 }
 
 void Scheduler::flush_failed_dispatches() {
@@ -542,7 +497,7 @@ void Scheduler::run_group(const std::shared_ptr<Group>& g) {
       if (all_dated) ctl.deadline = latest;
 
       GridRef exec_grid = g->members[live.front()].grid;
-      std::optional<GridCopy> snap;
+      std::vector<std::byte> snap;
       if (cfg_.retry_budget > 0) snap = snapshot_content(exec_grid);
       std::uint64_t jitter_state = g->seq;
 
@@ -561,7 +516,7 @@ void Scheduler::run_group(const std::shared_ptr<Group>& g) {
             throw;
           }
           ++g->retries_used;
-          if (snap) restore_content(exec_grid, *snap);
+          if (!snap.empty()) restore_content(exec_grid, snap);
           double backoff_ms =
               std::min(cfg_.retry_backoff_ms * std::ldexp(1.0, attempt),
                        cfg_.retry_backoff_max_ms);

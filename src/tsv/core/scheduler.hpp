@@ -37,7 +37,8 @@
 //     tenant run concurrently; a tenant with a deep backlog keeps its
 //     excess queued while other tenants' work overtakes it.
 //   * single-flight coalescing — concurrent submissions with identical
-//     (stencil, shape, options, grid-content digest) become ONE executor
+//     (stencil, shape, options) and byte-identical grid contents (a digest
+//     finds the candidate, a byte compare confirms it) become ONE executor
 //     request: the leader computes, followers' grids receive a byte copy of
 //     the leader's result, every waiter's future completes. The coalescing
 //     window is the leader's time in the queue — by the time it is
@@ -264,13 +265,12 @@ class Scheduler {
   std::future<Result> submit(Request req);
 
   /// Convenience: one grid, explicit serving metadata.
-  template <typename G>
-  std::future<Result> submit(G& g, const StencilSpec& spec, const Options& o,
+  std::future<Result> submit(GridRef g, const StencilSpec& spec,
+                             const Options& o,
                              ServiceClass cls = ServiceClass::kBatch,
                              double deadline_ms = 0.0,
                              std::string tenant = {}) {
-    return submit(Request{GridRef{&g}, spec, o, cls, deadline_ms,
-                          std::move(tenant)});
+    return submit(Request{g, spec, o, cls, deadline_ms, std::move(tenant)});
   }
 
   /// Stops handing work to the executor (admission stays open). Queued
@@ -298,6 +298,9 @@ class Scheduler {
   void on_group_done(const std::shared_ptr<Group>& group,
                      std::exception_ptr error);
   void flush_failed_dispatches();
+  /// Removes @p g from the coalesce index if it is the group registered
+  /// under its key (a digest-collision group never is). Caller holds mu_.
+  void close_locked(const std::shared_ptr<Group>& g);
 
   SchedulerConfig cfg_;
   Executor ex_;

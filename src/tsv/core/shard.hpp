@@ -79,30 +79,26 @@ ShardLayout shard_layout(int rank, index outer, const ShardSpec& spec);
 const char* shard_violation(const ShardLayout& layout, int radius);
 
 /// One logical grid stored as per-shard subgrids (see the header comment).
-/// G is Grid1D/2D/3D<T>. The sharded grid never aliases the monolithic
-/// one: scatter()/gather() copy data in and out explicitly.
+/// G is a Grid<T, D>. The sharded grid never aliases the monolithic one:
+/// scatter()/gather() copy data in and out explicitly.
 template <typename G>
 class ShardedGrid {
  public:
   using value_type = typename G::value_type;
   static constexpr int kRank = G::kRank;
+  /// The split axis: the outermost one.
+  static constexpr int kAxis = kRank - 1;
 
   /// Decomposes the geometry of @p like (extents + halo; its data is not
   /// read — use scatter()). Throws std::invalid_argument on a bad spec.
   ShardedGrid(const G& like, const ShardSpec& spec)
-      : nx_(like.nx()), ny_(1), nz_(1), halo_(like.halo()) {
-    if constexpr (kRank >= 2) ny_ = like.ny();
-    if constexpr (kRank >= 3) nz_ = like.nz();
-    layout_ = shard_layout(kRank, outer_extent(), spec);
+      : n_(like.extents()), halo_(like.halo()) {
+    layout_ = shard_layout(kRank, n_[kAxis], spec);
     shards_.reserve(static_cast<std::size_t>(layout_.count));
     for (int i = 0; i < layout_.count; ++i) {
-      const index e = layout_.extent[static_cast<std::size_t>(i)];
-      if constexpr (kRank == 1)
-        shards_.emplace_back(e, halo_, spec.first_touch);
-      else if constexpr (kRank == 2)
-        shards_.emplace_back(nx_, e, halo_, spec.first_touch);
-      else
-        shards_.emplace_back(nx_, ny_, e, halo_, spec.first_touch);
+      auto e = n_;
+      e[kAxis] = layout_.extent[static_cast<std::size_t>(i)];
+      shards_.emplace_back(e, halo_, spec.first_touch);
     }
   }
 
@@ -111,10 +107,17 @@ class ShardedGrid {
   G& shard(int i) { return shards_[static_cast<std::size_t>(i)]; }
   const G& shard(int i) const { return shards_[static_cast<std::size_t>(i)]; }
 
-  /// Global extents and halo of the logical grid.
-  index nx() const { return nx_; }
-  index ny() const { return ny_; }
-  index nz() const { return nz_; }
+  /// Global extents and halo of the logical grid (ny/nz are 1 below their
+  /// rank).
+  index nx() const { return n_[0]; }
+  index ny() const {
+    if constexpr (kRank >= 2) return n_[1];
+    return 1;
+  }
+  index nz() const {
+    if constexpr (kRank >= 3) return n_[2];
+    return 1;
+  }
   index halo() const { return halo_; }
 
   /// Copies @p src (same geometry as the prototype) into the shards,
@@ -125,22 +128,14 @@ class ShardedGrid {
   void scatter(const G& src) {
     check_geometry(src, "ShardedGrid::scatter");
     const index h = halo_;
-    const index w = nx_ + 2 * h;
     for (int i = 0; i < layout_.count; ++i) {
       G& d = shards_[static_cast<std::size_t>(i)];
       const index b = layout_.base[static_cast<std::size_t>(i)];
-      const index e = layout_.extent[static_cast<std::size_t>(i)];
-      if constexpr (kRank == 1) {
-        detail::copy_row_segment(d.x0() - h, src.x0() + b - h, e + 2 * h);
-      } else if constexpr (kRank == 2) {
-        for (index y = -h; y < e + h; ++y)
-          detail::copy_row_segment(d.row(y) - h, src.row(b + y) - h, w);
-      } else {
-        for (index z = -h; z < e + h; ++z)
-          for (index y = -h; y < ny_ + h; ++y)
-            detail::copy_row_segment(d.row(y, z) - h, src.row(y, b + z) - h,
-                                     w);
-      }
+      for_each_row(d.rows(h), [&](index y, index z) {
+        detail::copy_row_segment(d.row_at(y, z) - h,
+                                 shifted_row(src, b, y, z) - h,
+                                 d.nx() + 2 * h);
+      });
     }
   }
 
@@ -150,17 +145,10 @@ class ShardedGrid {
     for (int i = 0; i < layout_.count; ++i) {
       const G& s = shards_[static_cast<std::size_t>(i)];
       const index b = layout_.base[static_cast<std::size_t>(i)];
-      const index e = layout_.extent[static_cast<std::size_t>(i)];
-      if constexpr (kRank == 1) {
-        detail::copy_row_segment(dst.x0() + b, s.x0(), e);
-      } else if constexpr (kRank == 2) {
-        for (index y = 0; y < e; ++y)
-          detail::copy_row_segment(dst.row(b + y), s.row(y), nx_);
-      } else {
-        for (index z = 0; z < e; ++z)
-          for (index y = 0; y < ny_; ++y)
-            detail::copy_row_segment(dst.row(y, b + z), s.row(y, z), nx_);
-      }
+      for_each_row(interior_box(s), [&](index y, index z) {
+        detail::copy_row_segment(shifted_row(dst, b, y, z), s.row_at(y, z),
+                                 s.nx());
+      });
     }
   }
 
@@ -173,10 +161,10 @@ class ShardedGrid {
   /// shard i — safe to run for all shards concurrently.
   void fill_shard_ghosts(int i, const BoundarySpec& bc, int radius) {
     BoundarySpec inner = bc;
-    split_boundary_ref(inner) = Boundary::kDirichlet;
+    inner.at(kAxis) = Boundary::kDirichlet;
     G& g = shards_[static_cast<std::size_t>(i)];
     fill_ghosts(g, inner, radius);
-    const Boundary b = split_boundary(bc);
+    const Boundary b = bc.at(kAxis);
     if (b == Boundary::kZero || b == Boundary::kNeumann) {
       if (i == 0) fill_ghost_face(g, b, radius, /*high=*/false);
       if (i == layout_.count - 1) fill_ghost_face(g, b, radius, /*high=*/true);
@@ -190,7 +178,7 @@ class ShardedGrid {
   /// exchange concurrently between two fill waves.
   void exchange_shard_ghosts(int i, const BoundarySpec& bc, int radius) {
     const int n = layout_.count;
-    const bool wrap = split_boundary(bc) == Boundary::kPeriodic;
+    const bool wrap = bc.at(kAxis) == Boundary::kPeriodic;
     if (i > 0)
       copy_split_face(i, i - 1, /*high=*/false, radius);
     else if (wrap)
@@ -202,22 +190,18 @@ class ShardedGrid {
   }
 
  private:
-  index outer_extent() const {
-    return kRank == 1 ? nx_ : kRank == 2 ? ny_ : nz_;
-  }
-
-  Boundary split_boundary(const BoundarySpec& bc) const {
-    return kRank == 1 ? bc.x : kRank == 2 ? bc.y : bc.z;
-  }
-  Boundary& split_boundary_ref(BoundarySpec& bc) const {
-    return kRank == 1 ? bc.x : kRank == 2 ? bc.y : bc.z;
+  /// Row (y, z) of a shard whose split-axis base is @p b, addressed in the
+  /// monolithic grid @p g.
+  template <typename Any>
+  static auto* shifted_row(Any& g, index b, index y, index z) {
+    std::array<index, 3> p{0, y, z};
+    p[kAxis] += b;
+    return g.row_at(p[1], p[2]) + p[0];
   }
 
   void check_geometry(const G& g, const char* who) const {
-    bool ok = g.nx() == nx_ && g.halo() == halo_;
-    if constexpr (kRank >= 2) ok = ok && g.ny() == ny_;
-    if constexpr (kRank >= 3) ok = ok && g.nz() == nz_;
-    require(ok, std::string(who) + ": grid does not match the sharded geometry");
+    require(g.extents() == n_ && g.halo() == halo_,
+            std::string(who) + ": grid does not match the sharded geometry");
   }
 
   /// Copies the low (high=false) or high ghost strip of shard @p dst_i from
@@ -227,35 +211,17 @@ class ShardedGrid {
   void copy_split_face(int dst_i, int src_i, bool high, int radius) {
     G& d = shards_[static_cast<std::size_t>(dst_i)];
     const G& s = shards_[static_cast<std::size_t>(src_i)];
-    const int r = radius;
     const index de = layout_.extent[static_cast<std::size_t>(dst_i)];
     const index se = layout_.extent[static_cast<std::size_t>(src_i)];
-    if constexpr (kRank == 1) {
-      for (int k = 1; k <= r; ++k) {
-        if (high)
-          d.at(de - 1 + k) = s.at(k - 1);
-        else
-          d.at(-k) = s.at(se - k);
-      }
-    } else if constexpr (kRank == 2) {
-      const index w = nx_ + 2 * r;
-      for (int k = 1; k <= r; ++k) {
-        const index dy = high ? de - 1 + k : -k;
-        const index sy = high ? k - 1 : se - k;
-        detail::copy_row_segment(d.row(dy) - r, s.row(sy) - r, w);
-      }
-    } else {
-      const index w = nx_ + 2 * r;
-      for (int k = 1; k <= r; ++k) {
-        const index dz = high ? de - 1 + k : -k;
-        const index sz = high ? k - 1 : se - k;
-        for (index y = -r; y < ny_ + r; ++y)
-          detail::copy_row_segment(d.row(y, dz) - r, s.row(y, sz) - r, w);
-      }
-    }
+    for (int k = 1; k <= radius; ++k)
+      detail::slab_walk(d, high ? de - 1 + k : -k, s, high ? k - 1 : se - k,
+                        kAxis, radius, [](auto* to, const auto* from, index n) {
+                          detail::copy_row_segment(to, from, n);
+                        });
   }
 
-  index nx_, ny_, nz_, halo_;
+  std::array<index, kRank> n_;
+  index halo_;
   ShardLayout layout_;
   std::vector<G> shards_;
 };

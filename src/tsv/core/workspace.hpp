@@ -181,11 +181,11 @@ class WorkspacePool {
 
 template <typename G>
 G& ws_grid_like(Workspace& ws, int slot, const G& g) {
-  const auto n = extents_of(g);
+  const auto n = g.extents();
   const std::uint64_t key =
       std::apply([&](auto... e) { return ws_key(e..., g.halo()); }, n);
   return ws.slot<G>(slot, key, [&] {
-    return make_grid<G>(n, g.halo(), FirstTouch::kParallel);
+    return G(n, g.halo(), FirstTouch::kParallel);
   });
 }
 

@@ -46,22 +46,11 @@ void block_transpose_row(T* row, index n) {
 /// kernels read neighbour rows at the same transposed offsets, so every row a
 /// kernel can touch must share the layout. The x halo of every row stays in
 /// original order — boundary assembly reads scalars from it.
-template <typename T, int W>
-void block_transpose_grid(Grid1D<T>& g) {
-  block_transpose_row<T, W>(g.x0(), g.nx());
-}
-
-template <typename T, int W>
-void block_transpose_grid(Grid2D<T>& g) {
-  for (index y = -g.halo(); y < g.ny() + g.halo(); ++y)
-    block_transpose_row<T, W>(g.row(y), g.nx());
-}
-
-template <typename T, int W>
-void block_transpose_grid(Grid3D<T>& g) {
-  for (index z = -g.halo(); z < g.nz() + g.halo(); ++z)
-    for (index y = -g.halo(); y < g.ny() + g.halo(); ++y)
-      block_transpose_row<T, W>(g.row(y, z), g.nx());
+template <typename T, int W, int D>
+void block_transpose_grid(Grid<T, D>& g) {
+  for_each_row(g.rows(g.halo()), [&](index y, index z) {
+    block_transpose_row<T, W>(g.row_at(y, z), g.nx());
+  });
 }
 
 /// Reads interior element @p x from a block-transposed row (boundary and

@@ -49,40 +49,18 @@ void dlt_backward_row(const T* src, T* dst, index n) {
 /// the y/z halo rows are transformed too (neighbour-row loads must share the
 /// layout); the x halo of each row keeps original order and is read by the
 /// seam-handling code.
-template <typename T, int W>
-void dlt_forward_grid(const Grid1D<T>& src, Grid1D<T>& dst) {
-  dlt_forward_row<T, W>(src.x0(), dst.x0(), src.nx());
+template <typename T, int W, int D>
+void dlt_forward_grid(const Grid<T, D>& src, Grid<T, D>& dst) {
+  for_each_row(src.rows(src.halo()), [&](index y, index z) {
+    dlt_forward_row<T, W>(src.row_at(y, z), dst.row_at(y, z), src.nx());
+  });
 }
 
-template <typename T, int W>
-void dlt_backward_grid(const Grid1D<T>& src, Grid1D<T>& dst) {
-  dlt_backward_row<T, W>(src.x0(), dst.x0(), src.nx());
-}
-
-template <typename T, int W>
-void dlt_forward_grid(const Grid2D<T>& src, Grid2D<T>& dst) {
-  for (index y = -src.halo(); y < src.ny() + src.halo(); ++y)
-    dlt_forward_row<T, W>(src.row(y), dst.row(y), src.nx());
-}
-
-template <typename T, int W>
-void dlt_backward_grid(const Grid2D<T>& src, Grid2D<T>& dst) {
-  for (index y = -src.halo(); y < src.ny() + src.halo(); ++y)
-    dlt_backward_row<T, W>(src.row(y), dst.row(y), src.nx());
-}
-
-template <typename T, int W>
-void dlt_forward_grid(const Grid3D<T>& src, Grid3D<T>& dst) {
-  for (index z = -src.halo(); z < src.nz() + src.halo(); ++z)
-    for (index y = -src.halo(); y < src.ny() + src.halo(); ++y)
-      dlt_forward_row<T, W>(src.row(y, z), dst.row(y, z), src.nx());
-}
-
-template <typename T, int W>
-void dlt_backward_grid(const Grid3D<T>& src, Grid3D<T>& dst) {
-  for (index z = -src.halo(); z < src.nz() + src.halo(); ++z)
-    for (index y = -src.halo(); y < src.ny() + src.halo(); ++y)
-      dlt_backward_row<T, W>(src.row(y, z), dst.row(y, z), src.nx());
+template <typename T, int W, int D>
+void dlt_backward_grid(const Grid<T, D>& src, Grid<T, D>& dst) {
+  for_each_row(src.rows(src.halo()), [&](index y, index z) {
+    dlt_backward_row<T, W>(src.row_at(y, z), dst.row_at(y, z), src.nx());
+  });
 }
 
 }  // namespace tsv

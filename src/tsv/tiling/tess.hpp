@@ -149,7 +149,7 @@ void tess_run(G& g, index units, const Blocks& blk, index tau, index slope,
   tmp.copy_halo_from(g);
   std::array<index, D> b;
   std::copy_n(blk.begin(), D, b.begin());
-  tess_engine<D>(g, tmp, extents_of(g), b, units, tau, slope, adv);
+  tess_engine<D>(g, tmp, g.extents(), b, units, tau, slope, adv);
 }
 
 }  // namespace tsv

@@ -121,7 +121,7 @@ TSV_NOINLINE void tess_transpose_uj2_run(G& g, const S& s, index steps,
   detail::require_transpose_conforming(g, W);
   require_fmt(bt % 2 == 0, "uj2 tiling: time range bt=", bt, " must be even");
   const TapRows<S> taps(s);
-  const auto n = extents_of(g);
+  const auto n = g.extents();
   const index nx = n[0];
 
   // Per-thread scratch for the transient odd level of one tile region,
@@ -146,7 +146,7 @@ TSV_NOINLINE void tess_transpose_uj2_run(G& g, const S& s, index steps,
     Pool p;
     p.reserve(static_cast<std::size_t>(nthreads));
     for (int i = 0; i < nthreads; ++i)
-      p.push_back(make_grid<G>(sn, sh, FirstTouch::kNone));
+      p.push_back(G(sn, sh, FirstTouch::kNone));
 #pragma omp parallel for schedule(static)
     for (int i = 0; i < nthreads; ++i) p[i].zero();
     return p;
@@ -169,12 +169,12 @@ TSV_NOINLINE void tess_transpose_uj2_run(G& g, const S& s, index steps,
     auto l1_row = [&](index y, index z) -> T* {
       std::array<index, 3> at{0, y, z};
       at[D - 1] -= c.lo[D - 1];
-      return grid_row(scr, at[1], at[2]) - org;
+      return scr.row_at(at[1], at[2]) - org;
     };
     // Level +1 (odd, transient) over c into scratch.
     row_walk(in, c, taps, [&](const auto& rp, index y, index z) {
       T* d = l1_row(y, z);
-      const T* src = grid_row(in, y, z);
+      const T* src = in.row_at(y, z);
       if (c.lo[0] == 0)
         for (index l = 1; l <= R; ++l) d[-l] = src[-l];
       if (c.hi[0] == nx)
@@ -187,10 +187,10 @@ TSV_NOINLINE void tess_transpose_uj2_run(G& g, const S& s, index steps,
     auto l1_src = [&](index y, index z) -> const T* {
       const bool in_c = y >= c3.lo[1] && y < c3.hi[1] && z >= c3.lo[2] &&
                         z < c3.hi[2];
-      return in_c ? l1_row(y, z) : grid_row(in, y, z);
+      return in_c ? l1_row(y, z) : in.row_at(y, z);
     };
     row_walk(b, taps, l1_src, [&](const auto& rp, index y, index z) {
-      transpose_sweep_row_region<V, R, NR>(rp, grid_row(out, y, z), taps.w,
+      transpose_sweep_row_region<V, R, NR>(rp, out.row_at(y, z), taps.w,
                                            nx, b.lo[0], b.hi[0]);
     });
   };

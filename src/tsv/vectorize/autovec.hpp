@@ -23,7 +23,7 @@ TSV_NOINLINE void autovec_step_region(const G& in, G& out,
   const auto w = taps.w;  // local copy: lets the vectorizer keep weights in regs
   const index xlo = b.lo[0], xhi = b.hi[0];
   row_walk(in, b, taps, [&](const auto& rp, index y, index z) {
-    T* __restrict op = grid_row(out, y, z);
+    T* __restrict op = out.row_at(y, z);
 #pragma omp simd
     for (index x = xlo; x < xhi; ++x) {
       T acc = 0;

@@ -149,7 +149,7 @@ TSV_NOINLINE void dlt_step_region(const G& in, G& out, const TapRows<S>& taps,
                             : &dlt_sweep_row_region<V, R, NR, false>;
   const index nx = in.nx();
   row_walk(in, b, taps, [&](const auto& rp, index y, index z) {
-    sweep(rp, grid_row(out, y, z), taps.w, nx, b.lo[0], b.hi[0]);
+    sweep(rp, out.row_at(y, z), taps.w, nx, b.lo[0], b.hi[0]);
   });
   if (stream) stream_fence();
 }

@@ -61,7 +61,7 @@ TSV_NOINLINE void generic_step_region(const G& in, G& out, const S& s,
   constexpr int NB = 4;
   const index xlo = b.lo[0], xhi = b.hi[0];
   row_walk(in, b, taps, [&](const auto& rp, index y, index z) {
-    T* op = grid_row(out, y, z);
+    T* op = out.row_at(y, z);
     const T* sp = nullptr;
     if constexpr (requires { s.scale_row(y, z); }) sp = s.scale_row(y, z);
     index x = xlo;

@@ -119,7 +119,7 @@ TSV_ALWAYS_INLINE void row_walk(const Box<D>& b, const TapRows<S>& taps,
 template <typename G, typename S, typename Fn>
 TSV_ALWAYS_INLINE void row_walk(const G& in, const Box<G::kRank>& b,
                                 const TapRows<S>& taps, Fn&& fn) {
-  row_walk(b, taps, [&](index y, index z) { return grid_row(in, y, z); },
+  row_walk(b, taps, [&](index y, index z) { return in.row_at(y, z); },
            fn);
 }
 

@@ -43,7 +43,7 @@ TSV_NOINLINE void multiload_step_region(const G& in, G& out,
   constexpr int W = V::width;
   const index xlo = b.lo[0], xhi = b.hi[0];
   row_walk(in, b, taps, [&](const auto& rp, index y, index z) {
-    T* op = grid_row(out, y, z);
+    T* op = out.row_at(y, z);
     index x = xlo;
     for (; x + W <= xhi; x += W) {
       V acc = V::zero();

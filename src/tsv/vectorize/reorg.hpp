@@ -60,7 +60,7 @@ TSV_NOINLINE void reorg_step_region(const G& in, G& out,
   constexpr int W = V::width;
   const index xlo = b.lo[0], xhi = b.hi[0];
   row_walk(in, b, taps, [&](const auto& rp, index y, index z) {
-    T* op = grid_row(out, y, z);
+    T* op = out.row_at(y, z);
     auto scalar_cell = [&](index xx) {
       T acc = 0;
       for (int r = 0; r < taps.count(); ++r)

@@ -159,8 +159,8 @@ TSV_NOINLINE void unroll_jam_run(G& g, const S& s, index steps,
   } else {
     constexpr int NR = TapRows<S>::kCap;
     constexpr index RB = 2 * R + 1;
-    using Slab = GridOf<D - 1, T>;
-    const auto n = extents_of(g);
+    using Slab = Grid<T, D - 1>;
+    const auto n = g.extents();
     const index no = n[D - 1];  // outermost extent: the ring's axis
     std::array<index, D - 1> sn;
     std::copy_n(n.begin(), D - 1, sn.begin());
@@ -169,7 +169,7 @@ TSV_NOINLINE void unroll_jam_run(G& g, const S& s, index steps,
     std::vector<Slab>& ring = ws.slot<std::vector<Slab>>(kWsRing, key, [&] {
       std::vector<Slab> r;
       r.reserve(RB);
-      for (index i = 0; i < RB; ++i) r.push_back(make_grid<Slab>(sn, R));
+      for (index i = 0; i < RB; ++i) r.push_back(Slab(sn, R));
       return r;
     });
     auto ring_slot = [&](index o) { return ((o % RB) + RB) % RB; };
@@ -177,8 +177,8 @@ TSV_NOINLINE void unroll_jam_run(G& g, const S& s, index steps,
     // to the main grid (Dirichlet values, valid at every level).
     auto row_l1 = [&](index y, index z) -> const T* {
       const index o = D == 2 ? y : z;
-      if (o < 0 || o >= no || y < 0 || y >= n[1]) return grid_row(g, y, z);
-      return grid_row(ring[ring_slot(o)], y, z);
+      if (o < 0 || o >= no || y < 0 || y >= n[1]) return g.row_at(y, z);
+      return ring[ring_slot(o)].row_at(y, z);
     };
     auto slab_box = [&](index o) {
       Box<D> b = interior_box(g);
@@ -192,8 +192,8 @@ TSV_NOINLINE void unroll_jam_run(G& g, const S& s, index steps,
           row_walk(g, slab_box(oo), taps,
                    [&](const auto& rp, index y, index z) {
                      // The x halo carries the Dirichlet values.
-                     T* d = grid_row(ring[ring_slot(oo)], y, z);
-                     const T* src = grid_row(g, y, z);
+                     T* d = ring[ring_slot(oo)].row_at(y, z);
+                     const T* src = g.row_at(y, z);
                      for (index l = 1; l <= R; ++l) d[-l] = src[-l];
                      for (index l = 0; l < R; ++l) d[nx + l] = src[nx + l];
                      transpose_sweep_row_region<V, R, NR>(rp, d, taps.w, nx,
@@ -203,7 +203,7 @@ TSV_NOINLINE void unroll_jam_run(G& g, const S& s, index steps,
           row_walk(slab_box(oo - R), taps, row_l1,
                    [&](const auto& rp, index y, index z) {
                      transpose_sweep_row_region<V, R, NR>(
-                         rp, grid_row(g, y, z), taps.w, nx, 0, nx);
+                         rp, g.row_at(y, z), taps.w, nx, 0, nx);
                    });
       }
   }

@@ -7,10 +7,13 @@
 // the plan's result against the boundary-aware scalar oracle
 // (reference_run with a BoundarySpec) — both sides read ghost values
 // produced by the SAME fill_ghosts, so any divergence is a method bug.
+// fill_ghosts itself is checked against an independent coordinate-formula
+// oracle over every rim cell, rank, condition mix and radius.
 // A radius-2 periodic wrap case regresses the halo-widening class of bug
 // (ghosts two cells deep must wrap from two cells inside the far edge).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 
 #include "tsv/kernels/reference.hpp"
@@ -122,6 +125,139 @@ TEST(GhostFill, Periodic3DCornerWrapsAllAxes) {
   EXPECT_EQ(g.at(4, 3, 3), g.at(0, 0, 0));
   EXPECT_EQ(g.at(2, -1, 1), g.at(2, 2, 1));
   EXPECT_EQ(g.at(2, 1, -1), g.at(2, 1, 2));
+}
+
+// ---- fill_ghosts vs a coordinate-formula oracle ----------------------------
+//
+// Independent of halo.hpp's code: a ghost coordinate c on an axis of extent
+// n reads interior coordinate n-d (wrap) or d-1 (mirror) at the low face
+// (c = -d), d-1 (wrap) or n-d (mirror) at the high face (c = n-1+d). Axes
+// fill in x -> y -> z order, and the fill of axis a writes the cells whose
+// a coordinate is a ghost within the radius, whose lower axes lie within the
+// radius and whose higher axes are interior — so the highest ghost axis of a
+// cell decides it: untouched (Dirichlet), zero, or a copy of the cell it
+// names, which lower axes decide in turn. Cells deeper than the radius are
+// never written (the grids carry one spare halo layer to check that).
+
+using Cell = std::array<index, 3>;
+using AxisBc = std::array<Boundary, 3>;
+
+/// A distinct non-zero value per cell (also in the halo).
+double seed_value(const Cell& p) {
+  return double(50505 + p[0] + 100 * p[1] + 10000 * p[2]);
+}
+
+index ghost_source(index c, index n, Boundary b) {
+  if (c < 0) return b == Boundary::kPeriodic ? n + c : -c - 1;
+  if (c >= n) return b == Boundary::kPeriodic ? c - n : 2 * n - 1 - c;
+  return c;
+}
+
+/// Value of cell @p p after fill_ghosts(bc, r) on a seed_value grid.
+double expected_fill(Cell p, int rank, const Cell& n, const AxisBc& bc,
+                     int r) {
+  for (int a = 0; a < rank; ++a)
+    if (p[a] < -r || p[a] >= n[a] + r) return seed_value(p);
+  for (int a = rank - 1; a >= 0; --a) {
+    if (p[a] >= 0 && p[a] < n[a]) continue;
+    if (bc[a] == Boundary::kDirichlet) break;
+    if (bc[a] == Boundary::kZero) return 0.0;
+    p[a] = ghost_source(p[a], n[a], bc[a]);
+  }
+  return seed_value(p);
+}
+
+/// Value of cell @p p after fill_ghost_face(b, r, high) on a seed_value
+/// grid: only the outermost axis' one face strip moves.
+double expected_face(Cell p, int rank, const Cell& n, Boundary b, int r,
+                     bool high) {
+  const int o = rank - 1;
+  const bool strip = high ? p[o] >= n[o] && p[o] < n[o] + r
+                          : p[o] < 0 && p[o] >= -r;
+  bool within = strip && b != Boundary::kDirichlet;
+  for (int a = 0; a < o; ++a) within = within && p[a] >= -r && p[a] < n[a] + r;
+  if (!within) return seed_value(p);
+  if (b == Boundary::kZero) return 0.0;
+  p[o] = ghost_source(p[o], n[o], b);
+  return seed_value(p);
+}
+
+template <typename G>
+double& cell(G& g, const Cell& p) {
+  if constexpr (G::kRank == 1)
+    return g.at(p[0]);
+  else if constexpr (G::kRank == 2)
+    return g.at(p[0], p[1]);
+  else
+    return g.at(p[0], p[1], p[2]);
+}
+
+/// fn(p) for every cell, halo included, of a rank-G::kRank grid.
+template <typename G, typename Fn>
+void for_each_cell(const Cell& n, index h, Fn&& fn) {
+  const index hy = G::kRank >= 2 ? h : 0, hz = G::kRank >= 3 ? h : 0;
+  for (index z = -hz; z < (G::kRank >= 3 ? n[2] : 1) + hz; ++z)
+    for (index y = -hy; y < (G::kRank >= 2 ? n[1] : 1) + hy; ++y)
+      for (index x = -h; x < n[0] + h; ++x) fn(Cell{x, y, z});
+}
+
+template <typename G>
+G seeded_grid(const Cell& n, index halo) {
+  G g = [&] {
+    if constexpr (G::kRank == 1)
+      return G(n[0], halo);
+    else if constexpr (G::kRank == 2)
+      return G(n[0], n[1], halo);
+    else
+      return G(n[0], n[1], n[2], halo);
+  }();
+  for_each_cell<G>(n, halo, [&](const Cell& p) { cell(g, p) = seed_value(p); });
+  return g;
+}
+
+/// Every rim cell of every condition mix at radius 1 and 2, then each
+/// outermost-axis face on its own.
+template <typename G>
+void expect_fills_match_oracle() {
+  constexpr int kRank = G::kRank;
+  const Cell n{5, 4, 3};
+  const std::array<Boundary, 4> kAll{Boundary::kDirichlet, Boundary::kZero,
+                                     Boundary::kPeriodic, Boundary::kNeumann};
+  int combos = 1;
+  for (int a = 0; a < kRank; ++a) combos *= 4;
+  for (int r : {1, 2}) {
+    for (int c = 0; c < combos; ++c) {
+      AxisBc bc{Boundary::kDirichlet, Boundary::kDirichlet,
+                Boundary::kDirichlet};
+      for (int a = 0, k = c; a < kRank; ++a, k /= 4) bc[a] = kAll[k % 4];
+      G g = seeded_grid<G>(n, r + 1);
+      fill_ghosts(g, {.x = bc[0], .y = bc[1], .z = bc[2]}, r);
+      for_each_cell<G>(n, r + 1, [&](const Cell& p) {
+        ASSERT_EQ(cell(g, p), expected_fill(p, kRank, n, bc, r))
+            << "rank " << kRank << " r=" << r << " bc=("
+            << boundary_name(bc[0]) << "," << boundary_name(bc[1]) << ","
+            << boundary_name(bc[2]) << ") cell (" << p[0] << "," << p[1]
+            << "," << p[2] << ")";
+      });
+    }
+    for (Boundary b : kAll)
+      for (bool high : {false, true}) {
+        G g = seeded_grid<G>(n, r + 1);
+        fill_ghost_face(g, b, r, high);
+        for_each_cell<G>(n, r + 1, [&](const Cell& p) {
+          ASSERT_EQ(cell(g, p), expected_face(p, kRank, n, b, r, high))
+              << "rank " << kRank << " r=" << r << " face "
+              << boundary_name(b) << (high ? " high" : " low") << " cell ("
+              << p[0] << "," << p[1] << "," << p[2] << ")";
+        });
+      }
+  }
+}
+
+TEST(GhostFill, EveryRimCellMatchesCoordinateOracle) {
+  expect_fills_match_oracle<Grid1D<double>>();
+  expect_fills_match_oracle<Grid2D<double>>();
+  expect_fills_match_oracle<Grid3D<double>>();
 }
 
 // ---- boundary-aware oracle sanity -------------------------------------------

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <type_traits>
 
 #include "tsv/common/aligned.hpp"
 #include "tsv/common/check.hpp"
@@ -67,6 +68,45 @@ TEST(Require, ThrowsWithMessage) {
   }
 }
 
+// The per-rank names are the one rank-generic grid.
+static_assert(std::is_same_v<Grid1D<double>, Grid<double, 1>>);
+static_assert(std::is_same_v<Grid2D<double>, Grid<double, 2>>);
+static_assert(std::is_same_v<Grid3D<double>, Grid<double, 3>>);
+static_assert(std::is_same_v<Grid1D<float>, Grid<float, 1>>);
+static_assert(std::is_same_v<Grid2D<float>, Grid<float, 2>>);
+static_assert(std::is_same_v<Grid3D<float>, Grid<float, 3>>);
+
+// Storage layout pinned to exact figures for a 39 x 11 x 3 interior. With
+// A = 64 / sizeof(T) elements and lead = round_up(max(halo, 1), A):
+//   row stride   = lead + round_up(nx + max(halo, 1), A)
+//   plane stride = row stride * (ny + 2 halo)
+//   elements     = lead + nx + lead                    (1D)
+//                  row stride * (ny + 2 halo) + lead     (2D)
+//                  plane stride * (nz + 2 halo) + lead   (3D)
+// Kernels, alignment and peak memory all rest on these numbers.
+constexpr index kLayoutNx = 39, kLayoutNy = 11, kLayoutNz = 3;
+struct Layout {
+  index halo, row_stride, plane_stride, size1d, size2d, size3d;
+};
+constexpr Layout kLayoutF64[] = {{0, 48, 528, 55, 536, 1592},
+                                 {1, 48, 624, 55, 632, 3128},
+                                 {2, 56, 840, 55, 848, 5888}};
+constexpr Layout kLayoutF32[] = {{0, 64, 704, 71, 720, 2128},
+                                 {1, 64, 832, 71, 848, 4176},
+                                 {2, 64, 960, 71, 976, 6736}};
+
+template <typename T>
+bool aligned(const T* p) {
+  return reinterpret_cast<std::uintptr_t>(p) % kAlignment == 0;
+}
+
+/// Calls check.template operator()<T>(layout) for every table row.
+template <typename Check>
+void for_each_layout(Check&& check) {
+  for (const Layout& l : kLayoutF64) check.template operator()<double>(l);
+  for (const Layout& l : kLayoutF32) check.template operator()<float>(l);
+}
+
 TEST(Grid1D, InteriorAlignedAndHaloAddressable) {
   Grid1D<double> g(100, 2);
   EXPECT_EQ(reinterpret_cast<std::uintptr_t>(g.x0()) % kAlignment, 0u);
@@ -74,6 +114,15 @@ TEST(Grid1D, InteriorAlignedAndHaloAddressable) {
   g.at(101) = 2.0;
   EXPECT_EQ(g.at(-2), 1.0);
   EXPECT_EQ(g.at(101), 2.0);
+
+  for_each_layout([]<typename T>(const Layout& l) {
+    Grid1D<T> t(kLayoutNx, l.halo);
+    EXPECT_TRUE(aligned(t.x0()));
+    EXPECT_EQ(t.storage_size(), l.size1d) << "halo " << l.halo;
+    t.at(-l.halo) = T(1);
+    t.at(kLayoutNx + l.halo - 1) = T(2);
+    EXPECT_EQ(t.at(-l.halo), T(1));
+  });
 }
 
 TEST(Grid1D, FillCoversHalo) {
@@ -100,6 +149,16 @@ TEST(Grid2D, RowsAligned) {
   for (index y = -2; y < 13; ++y)
     EXPECT_EQ(reinterpret_cast<std::uintptr_t>(g.row(y)) % kAlignment, 0u)
         << "row " << y;
+
+  for_each_layout([]<typename T>(const Layout& l) {
+    const Grid2D<T> t(kLayoutNx, kLayoutNy, l.halo);
+    EXPECT_EQ(t.row_stride(), l.row_stride) << "halo " << l.halo;
+    EXPECT_EQ(t.storage_size(), l.size2d) << "halo " << l.halo;
+    for (index y = -l.halo; y < kLayoutNy + l.halo; ++y) {
+      EXPECT_TRUE(aligned(t.row(y))) << "row " << y;
+      EXPECT_EQ(t.row(y) - t.row(-l.halo), (y + l.halo) * l.row_stride);
+    }
+  });
 }
 
 TEST(Grid2D, FillAndAccess) {
@@ -118,6 +177,19 @@ TEST(Grid3D, RowsAlignedAndAccess) {
   });
   EXPECT_EQ(g.at(3, 4, 2), 243.0);
   EXPECT_EQ(g.at(-1, 0, 0), -1.0);
+
+  for_each_layout([]<typename T>(const Layout& l) {
+    const Grid3D<T> t(kLayoutNx, kLayoutNy, kLayoutNz, l.halo);
+    EXPECT_EQ(t.row_stride(), l.row_stride) << "halo " << l.halo;
+    EXPECT_EQ(t.plane_stride(), l.plane_stride) << "halo " << l.halo;
+    EXPECT_EQ(t.storage_size(), l.size3d) << "halo " << l.halo;
+    const index h = l.halo;
+    EXPECT_TRUE(aligned(t.row(-h, -h)));
+    EXPECT_TRUE(aligned(t.row(kLayoutNy + h - 1, kLayoutNz + h - 1)));
+    EXPECT_EQ(t.row(kLayoutNy + h - 1, kLayoutNz + h - 1) - t.row(-h, -h),
+              (kLayoutNy + 2 * h - 1) * l.row_stride +
+                  (kLayoutNz + 2 * h - 1) * l.plane_stride);
+  });
 }
 
 TEST(Grid, MaxAbsDiff) {

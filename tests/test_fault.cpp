@@ -24,53 +24,11 @@
 #include <thread>
 #include <vector>
 
+#include "request_grids.hpp"
 #include "tsv/tsv.hpp"
 
 namespace tsv {
 namespace {
-
-template <typename T>
-T noise(index salt, index lin) {
-  return static_cast<T>(0.25 +
-                        1e-3 * static_cast<double>((salt * 31 + lin * 7) % 101));
-}
-
-Options opts(Method m, Tiling t, index steps) {
-  Options o;
-  o.method = m;
-  o.tiling = t;
-  o.steps = steps;
-  return o;
-}
-
-/// Mirrors the scheduler's (= executor's) option normalization so a serial
-/// baseline resolves to the exact plan a gang runs.
-Options normalized(Options o, int threads_per_gang) {
-  o.dtype = dtype_of<double>();
-  o.max_threads = o.max_threads > 0 ? std::min(o.max_threads, threads_per_gang)
-                                    : threads_per_gang;
-  return o;
-}
-
-struct Req {
-  std::unique_ptr<Grid1D<double>> grid;
-  std::future<Scheduler::Result> fut;
-
-  explicit Req(index salt, index nx = 512) {
-    grid = std::make_unique<Grid1D<double>>(nx, 1);
-    grid->fill([salt](index x) { return noise<double>(salt, x); });
-  }
-};
-
-Grid1D<double> serial_expected(index salt, const Options& o,
-                               int threads_per_gang, index nx = 512) {
-  Grid1D<double> g(nx, 1);
-  g.fill([salt](index x) { return noise<double>(salt, x); });
-  make_plan(shape_of(g), StencilSpec{.kind = StencilKind::k1d3p},
-            normalized(o, threads_per_gang))
-      .execute(g);
-  return g;
-}
 
 const Options kRun = opts(Method::kTranspose, Tiling::kNone, 4);
 const StencilSpec kSpec{.kind = StencilKind::k1d3p};
@@ -267,6 +225,20 @@ TEST(Health, ScanFindsFirstBadIndexPerScope) {
   g1.at(0) = kInf;  // boundary "ring" of a 1D grid: the two edge cells
   EXPECT_THROW(health_scan(g1, HealthCheck::kBoundary), NumericalError);
 
+  // With several bad cells every scope reports the LOWEST linear index,
+  // whatever order it visits the ring in.
+  const auto first_bad = [](const auto& g, HealthCheck mode) -> index {
+    try {
+      health_scan(g, mode);
+    } catch (const NumericalError& e) {
+      return e.first_bad_index();
+    }
+    return -1;
+  };
+  g1.at(63) = kNaN;
+  EXPECT_EQ(first_bad(g1, HealthCheck::kBoundary), 0);
+  EXPECT_EQ(first_bad(g1, HealthCheck::kFull), 0);
+
   Grid2D<double> g2(8, 5, 1);
   g2.fill([](index, index) { return 1.0; });
   g2.at(3, 2) = kNaN;  // strictly interior
@@ -285,6 +257,9 @@ TEST(Health, ScanFindsFirstBadIndexPerScope) {
   } catch (const NumericalError& e) {
     EXPECT_EQ(e.first_bad_index(), 0 + 8 * 2);
   }
+  g2.at(3, 4) = kNaN;  // also on the ring (last row), at a higher index
+  EXPECT_EQ(first_bad(g2, HealthCheck::kBoundary), 0 + 8 * 2);
+  EXPECT_EQ(first_bad(g2, HealthCheck::kFull), 0 + 8 * 2);
 
   Grid3D<double> g3(4, 3, 5, 1);
   g3.fill([](index, index, index) { return 1.0; });
@@ -295,6 +270,10 @@ TEST(Health, ScanFindsFirstBadIndexPerScope) {
   } catch (const NumericalError& e) {
     EXPECT_EQ(e.first_bad_index(), 1 + 4 * (2 + 3 * 3));
   }
+  g3.at(2, 2, 4) = kNaN;  // on the last z face
+  g3.at(0, 1, 2) = kInf;  // x edge of a middle row: the lowest ring cell
+  EXPECT_EQ(first_bad(g3, HealthCheck::kBoundary), 0 + 4 * (1 + 3 * 2));
+  EXPECT_EQ(first_bad(g3, HealthCheck::kFull), 0 + 4 * (1 + 3 * 2));
 
   EXPECT_STREQ(health_check_name(HealthCheck::kOff), "off");
   EXPECT_STREQ(health_check_name(HealthCheck::kBoundary), "boundary");
@@ -616,6 +595,38 @@ TEST_F(FaultTest, RetryBudgetBoundsAttemptsThenSurfacesTransient) {
   EXPECT_EQ(s.timed_out, 0u);
   // 3 attempts = 3 passes through the dispatch point.
   EXPECT_EQ(FaultInjector::instance().stats("executor.dispatch").passes, 3u);
+}
+
+// Each retry copies the group's input back from the snapshot of its
+// interior + halo rows, walked as bytes through GridRef — one path for
+// every rank and dtype, so all six grid types run through it.
+template <typename G>
+void expect_retry_restores() {
+  SCOPED_TRACE(::testing::Message()
+               << "rank " << G::kRank << ", "
+               << dtype_name(dtype_of<typename G::value_type>()));
+  FaultInjector& fi = FaultInjector::instance();
+  fi.arm("executor.dispatch", {.count = 2});
+  Scheduler sched({.executor = {.gangs = 1, .threads_per_gang = 1},
+                   .retry_budget = 3,
+                   .retry_backoff_ms = 0.05,
+                   .retry_backoff_max_ms = 0.2});
+  ReqOf<G> r(13);
+  r.fut = sched.submit(*r.grid, spec_of_rank<G::kRank>(), kRun);
+  EXPECT_NO_THROW(r.fut.get());
+  sched.wait_idle();
+  EXPECT_EQ(sched.stats().retries, 2u);
+  fi.reset();
+  EXPECT_EQ(max_abs_diff(serial_expected<G>(13, kRun, 1), *r.grid), 0);
+}
+
+TEST_F(FaultTest, RetryRestoresSnapshotForEveryGridType) {
+  expect_retry_restores<Grid1D<double>>();
+  expect_retry_restores<Grid2D<double>>();
+  expect_retry_restores<Grid3D<double>>();
+  expect_retry_restores<Grid1D<float>>();
+  expect_retry_restores<Grid2D<float>>();
+  expect_retry_restores<Grid3D<float>>();
 }
 
 TEST(SchedulerRobustness, ImpossibleTimeoutFailsWithTimeoutError) {

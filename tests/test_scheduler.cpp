@@ -10,62 +10,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <future>
 #include <memory>
 #include <thread>
 #include <vector>
 
+#include "request_grids.hpp"
 #include "tsv/tsv.hpp"
 
 namespace tsv {
 namespace {
-
-template <typename T>
-T noise(index salt, index lin) {
-  return static_cast<T>(0.25 +
-                        1e-3 * static_cast<double>((salt * 31 + lin * 7) % 101));
-}
-
-Options opts(Method m, Tiling t, index steps) {
-  Options o;
-  o.method = m;
-  o.tiling = t;
-  o.steps = steps;
-  return o;
-}
-
-/// Mirrors the scheduler's (= executor's) option normalization so a serial
-/// baseline resolves to the exact plan a gang runs.
-Options normalized(Options o, int threads_per_gang) {
-  o.dtype = dtype_of<double>();
-  o.max_threads = o.max_threads > 0 ? std::min(o.max_threads, threads_per_gang)
-                                    : threads_per_gang;
-  return o;
-}
-
-/// One request's worth of state: an independent 1D grid with salt-keyed
-/// contents (distinct salts = distinct content digests = never coalesced;
-/// equal salts = coalescing candidates).
-struct Req {
-  std::unique_ptr<Grid1D<double>> grid;
-  std::future<Scheduler::Result> fut;
-
-  explicit Req(index salt, index nx = 512) {
-    grid = std::make_unique<Grid1D<double>>(nx, 1);
-    grid->fill([salt](index x) { return noise<double>(salt, x); });
-  }
-};
-
-Grid1D<double> serial_expected(index salt, const Options& o,
-                               int threads_per_gang, index nx = 512) {
-  Grid1D<double> g(nx, 1);
-  g.fill([salt](index x) { return noise<double>(salt, x); });
-  make_plan(shape_of(g), StencilSpec{.kind = StencilKind::k1d3p},
-            normalized(o, threads_per_gang))
-      .execute(g);
-  return g;
-}
 
 const Options kRun = opts(Method::kTranspose, Tiling::kNone, 4);
 
@@ -220,19 +176,25 @@ TEST(Scheduler, TenantQuotaLetsOtherTenantsOvertake) {
 // ---------------------------------------------------------------------------
 // Coalescing: identical (spec, shape, options, contents) submissions against
 // a queued leader become ONE executor task; every waiter's grid gets the
-// leader's bits.
+// leader's bits. Grid contents are walked as bytes through GridRef, so every
+// rank and dtype shares one digest/compare/copy path — the suite runs all
+// six grid types through it.
 // ---------------------------------------------------------------------------
 
-TEST(Scheduler, CoalescesIdenticalSubmissionsToOneExecution) {
+template <typename G>
+void expect_coalesces(const Options& run) {
+  SCOPED_TRACE(::testing::Message()
+               << "rank " << G::kRank << ", "
+               << dtype_name(dtype_of<typename G::value_type>()));
   Scheduler sched({.executor = {.gangs = 1, .threads_per_gang = 1}});
   sched.pause();
   constexpr int kWaiters = 4;  // one leader + 3 followers, same salt
-  std::vector<Req> reqs;
-  const StencilSpec spec{.kind = StencilKind::k1d3p};
+  std::vector<ReqOf<G>> reqs;
+  const StencilSpec spec = spec_of_rank<G::kRank>();
   for (int i = 0; i < kWaiters; ++i) {
     reqs.emplace_back(7);
     reqs[static_cast<std::size_t>(i)].fut =
-        sched.submit(*reqs[static_cast<std::size_t>(i)].grid, spec, kRun,
+        sched.submit(*reqs[static_cast<std::size_t>(i)].grid, spec, run,
                      ServiceClass::kBatch);
   }
   sched.resume();
@@ -248,10 +210,10 @@ TEST(Scheduler, CoalescesIdenticalSubmissionsToOneExecution) {
       EXPECT_EQ(r.dispatch_seq, leader_seq);  // one group, one dispatch
     }
   }
-  const Grid1D<double> expected =
-      serial_expected(7, kRun, sched.executor().threads_per_gang());
+  const G expected =
+      serial_expected<G>(7, run, sched.executor().threads_per_gang());
   for (auto& r : reqs)
-    EXPECT_EQ(max_abs_diff(expected, *r.grid), 0.0)
+    EXPECT_EQ(max_abs_diff(expected, *r.grid), 0)
         << "a coalesced waiter is not bit-identical to the leader";
 
   const SchedulerStats s = sched.stats();
@@ -267,10 +229,50 @@ TEST(Scheduler, CoalescesIdenticalSubmissionsToOneExecution) {
   // submitted after the drain start a fresh group and a fresh execution
   // (the input grids now hold advanced state, digests differ anyway; this
   // pins the open_-map erase on dispatch).
-  Req late(7);
-  late.fut = sched.submit(*late.grid, spec, kRun, ServiceClass::kBatch);
+  ReqOf<G> late(7);
+  late.fut = sched.submit(*late.grid, spec, run, ServiceClass::kBatch);
   EXPECT_FALSE(late.fut.get().coalesced);
   EXPECT_EQ(sched.stats().coalesced, static_cast<std::uint64_t>(kWaiters - 1));
+}
+
+TEST(Scheduler, CoalescesIdenticalSubmissionsToOneExecution) {
+  // An odd step count leaves the leader's result in the buffer its plan
+  // swapped in (Jacobi parity), so the fan-out must read the grid as it is
+  // after execution, not where its storage was at submit.
+  const Options odd = opts(Method::kTranspose, Tiling::kNone, 3);
+  for (const Options& run : {kRun, odd}) {
+    expect_coalesces<Grid1D<double>>(run);
+    expect_coalesces<Grid2D<double>>(run);
+    expect_coalesces<Grid3D<double>>(run);
+    expect_coalesces<Grid1D<float>>(run);
+    expect_coalesces<Grid2D<float>>(run);
+    expect_coalesces<Grid3D<float>>(run);
+  }
+}
+
+// A digest match only nominates a group; the join needs equal bytes. The
+// leader's grid is overwritten while it waits in the queue, so its group
+// still carries salt 7's digest over salt 8's contents — a 64-bit collision
+// by construction. A salt-7 follower must run on its own.
+TEST(Scheduler, DigestCollisionRunsAsItsOwnGroup) {
+  Scheduler sched({.executor = {.gangs = 1, .threads_per_gang = 1}});
+  sched.pause();
+  const StencilSpec spec{.kind = StencilKind::k1d3p};
+  Req leader(7), follower(7);
+  leader.fut = sched.submit(*leader.grid, spec, kRun, ServiceClass::kBatch);
+  leader.grid->fill([](index x) { return noise<double>(8, x); });
+  follower.fut = sched.submit(*follower.grid, spec, kRun, ServiceClass::kBatch);
+  sched.resume();
+
+  EXPECT_FALSE(leader.fut.get().coalesced);
+  EXPECT_FALSE(follower.fut.get().coalesced);
+  const int tpg = sched.executor().threads_per_gang();
+  EXPECT_EQ(max_abs_diff(serial_expected(8, kRun, tpg), *leader.grid), 0.0);
+  EXPECT_EQ(max_abs_diff(serial_expected(7, kRun, tpg), *follower.grid), 0.0);
+  const SchedulerStats s = sched.stats();
+  EXPECT_EQ(s.coalesced, 0u);
+  EXPECT_EQ(s.executor.submitted, 2u);
+  EXPECT_EQ(s.completed, 2u);
 }
 
 // ---------------------------------------------------------------------------

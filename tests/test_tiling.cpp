@@ -502,7 +502,7 @@ bool interiors_bitwise_equal(const G& a, const G& b) {
   const auto bytes = static_cast<std::size_t>(a.nx()) * sizeof(double);
   for (index z = box.lo[2]; z < box.hi[2]; ++z)
     for (index y = box.lo[1]; y < box.hi[1]; ++y)
-      if (std::memcmp(grid_row(a, y, z), grid_row(b, y, z), bytes) != 0)
+      if (std::memcmp(a.row_at(y, z), b.row_at(y, z), bytes) != 0)
         return false;
   return true;
 }
